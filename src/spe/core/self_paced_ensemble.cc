@@ -41,6 +41,25 @@ void CheckProbsAreNotNan(const std::vector<double>& probs,
   }
 }
 
+// One member's probabilities over `data`, into `out`. The member is
+// scored through its own compiled program (FlatForest::CompileMember)
+// when it lowers and the kernel is on, and through the reference
+// PredictProba otherwise. A one-member program reduces as (0 + p) * 1,
+// so both paths give the same bits (the kernel conformance contract).
+// Training always scores in f64, whatever ActiveScoreMode() says: a
+// narrower mode must never reach the hardness or the artifact.
+void ScoreMember(const Classifier& member, const DatasetView& data,
+                 std::vector<double>& out) {
+  if (kernels::FlatKernelEnabled()) {
+    if (const auto forest = kernels::FlatForest::CompileMember(member)) {
+      out.resize(data.num_rows());
+      forest->PredictPrefixInto(data, 1, out, kernels::ScoreMode::kF64);
+      return;
+    }
+  }
+  out = member.PredictProba(data);
+}
+
 }  // namespace
 
 SelfPacedEnsemble::SelfPacedEnsemble(const SelfPacedEnsembleConfig& config)
@@ -93,10 +112,12 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   // determinism contract (docs/performance.md).
   const obs::TraceSpan fit_span("spe.fit");
   train.CheckAlive();
-  const std::vector<std::size_t> pos = train.PositiveIndices();
-  const std::vector<std::size_t> neg = train.NegativeIndices();
-  SPE_CHECK(!pos.empty()) << "SPE needs at least one minority sample";
-  SPE_CHECK(!neg.empty()) << "SPE needs at least one majority sample";
+  // View-relative class indices, turned parent-absolute in place below
+  // (one majority-sized index vector, not two).
+  std::vector<std::size_t> pos_abs = train.PositiveIndices();
+  std::vector<std::size_t> neg_abs = train.NegativeIndices();
+  SPE_CHECK(!pos_abs.empty()) << "SPE needs at least one minority sample";
+  SPE_CHECK(!neg_abs.empty()) << "SPE needs at least one majority sample";
 
   ensemble_ = VotingEnsemble();
   training_hardness_ = HardnessHistogram();
@@ -111,10 +132,8 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     owned = train.Materialize();
     base = DatasetView(owned);
   }
-  std::vector<std::size_t> pos_abs(pos.size());
-  for (std::size_t i = 0; i < pos.size(); ++i) pos_abs[i] = base.RowIndex(pos[i]);
-  std::vector<std::size_t> neg_abs(neg.size());
-  for (std::size_t i = 0; i < neg.size(); ++i) neg_abs[i] = base.RowIndex(neg[i]);
+  for (std::size_t& r : pos_abs) r = base.RowIndex(r);
+  for (std::size_t& r : neg_abs) r = base.RowIndex(r);
   const DatasetView majority = base.WithIndices(neg_abs);
   const HardnessFn hardness_fn = config_.custom_hardness
                                      ? config_.custom_hardness
@@ -158,13 +177,36 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
   }
 
   // Running sum of member probabilities over the majority set: F_i is the
-  // average of f_0 .. f_{i-1} (Algorithm 1 line 4). PredictProba chunks
+  // average of f_0 .. f_{i-1} (Algorithm 1 line 4). Member scoring chunks
   // the majority rows across threads; the element-wise loops below do the
   // same, and both are bit-identical for any thread count because each
   // element is touched by exactly one fixed computation.
   std::vector<double> prob_sum;
   std::size_t prob_count = 0;
   std::size_t start_iteration = 1;
+  // The same sum over exactly the members that vote, in ensemble order:
+  // the final vote's numerator, from which the drift baseline is frozen
+  // without scoring the majority set again. It starts at 0.0 and adds
+  // each voter, the reduction VotingEnsemble::PredictProbaPrefix runs.
+  // With include_bootstrap_model every contributor to prob_sum votes, so
+  // prob_sum is that sum: its first term is assigned rather than added
+  // to 0.0, which can differ only in the sign of a zero, and the
+  // hardness functions map both zeros alike.
+  std::vector<double> excluded_f0_votes;
+  std::vector<double>& vote_sum =
+      config_.include_bootstrap_model ? prob_sum : excluded_f0_votes;
+  if (!config_.include_bootstrap_model) {
+    excluded_f0_votes.assign(majority.num_rows(), 0.0);
+  }
+  // Folds one voting member's probabilities into both sums.
+  const auto fold_votes = [&](const std::vector<double>& probs) {
+    const bool separate = &vote_sum != &prob_sum;
+    ParallelForGrain(0, prob_sum.size(), kUpdateGrain, [&](std::size_t m) {
+      prob_sum[m] += probs[m];
+      if (separate) vote_sum[m] += probs[m];
+    });
+  };
+  std::vector<double> member_probs;  // reused by every scoring pass
 
   // Pre-serialized member bytes in vote order. Members are immutable
   // once trained, so each is serialized exactly once and the bytes are
@@ -208,7 +250,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       SPE_CHECK(!rng_in.fail())
           << "cannot resume from " << checkpoint_path << ": bad rng state";
 
-      // Rebuild the training accumulator by replaying every voter in its
+      // Rebuild the training accumulators by replaying every voter in its
       // original order: assign f0's probabilities, then += each member's.
       // Per element this is the same serial chain of additions the
       // uninterrupted run performed, so the result is bit-identical — the
@@ -226,12 +268,10 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       }
       {
         const obs::TraceSpan span("spe.fit.resume_replay");
-        prob_sum = first->PredictProba(majority);
+        ScoreMember(*first, majority, prob_sum);
         for (std::size_t m = member_start; m < ensemble_.size(); ++m) {
-          const std::vector<double> probs =
-              ensemble_.member(m).PredictProba(majority);
-          ParallelForGrain(0, prob_sum.size(), kUpdateGrain,
-                           [&](std::size_t r) { prob_sum[r] += probs[r]; });
+          ScoreMember(ensemble_.member(m), majority, member_probs);
+          fold_votes(member_probs);
         }
       }
 
@@ -247,11 +287,10 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
         for (tracker.scored_members = 0;
              tracker.scored_members < loaded.core.scored_members;
              ++tracker.scored_members) {
-          const std::vector<double> p =
-              ensemble_.member(tracker.scored_members)
-                  .PredictProba(*tracker.data);
+          ScoreMember(ensemble_.member(tracker.scored_members), *tracker.data,
+                      member_probs);
           for (std::size_t r = 0; r < tracker.prob_sum.size(); ++r) {
-            tracker.prob_sum[r] += p[r];
+            tracker.prob_sum[r] += member_probs[r];
           }
         }
       }
@@ -267,11 +306,12 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     // hardness estimates; whether it votes in the final ensemble is the
     // include_bootstrap_model ablation. A resumed run skips all of this —
     // the replay above already folded f0's probabilities into prob_sum.
-    std::vector<std::size_t> initial_pick(neg.size());
-    if (neg.size() > pos.size()) {
-      initial_pick = rng.SampleWithoutReplacement(neg.size(), pos.size());
+    std::vector<std::size_t> initial_pick(neg_abs.size());
+    if (neg_abs.size() > pos_abs.size()) {
+      initial_pick =
+          rng.SampleWithoutReplacement(neg_abs.size(), pos_abs.size());
     } else {
-      for (std::size_t i = 0; i < neg.size(); ++i) initial_pick[i] = i;
+      for (std::size_t i = 0; i < neg_abs.size(); ++i) initial_pick[i] = i;
     }
     std::unique_ptr<Classifier> bootstrap = make_member(0);
     const DatasetView subset = rebuild_subset(initial_pick);
@@ -281,7 +321,7 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     }
     {
       const obs::TraceSpan span("spe.fit.member_predict");
-      prob_sum = bootstrap->PredictProba(majority);
+      ScoreMember(*bootstrap, majority, prob_sum);
     }
     CheckProbsAreNotNan(prob_sum, 0);
     prob_count = 1;
@@ -303,7 +343,11 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
                           resumed_manifest_bytes);
   }
 
-  std::vector<double> hardness(majority.num_rows());
+  // The hardness is dead once the iteration's pick is drawn, so the new
+  // member's probabilities reuse its buffer: one majority-sized vector
+  // fewer stays live while the members fit.
+  std::vector<double>& hardness = member_probs;
+  hardness.resize(majority.num_rows());
   const bool instrumented = obs::Enabled();
   std::vector<std::size_t> bin_population;
   for (std::size_t i = start_iteration; i <= n; ++i) {
@@ -345,15 +389,12 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
       member->Fit(subset);
     }
 
-    std::vector<double> member_probs;
     {
       const obs::TraceSpan span("spe.fit.member_predict");
-      member_probs = member->PredictProba(majority);
+      ScoreMember(*member, majority, member_probs);
     }
     CheckProbsAreNotNan(member_probs, i);
-    ParallelForGrain(0, prob_sum.size(), kUpdateGrain, [&](std::size_t m) {
-      prob_sum[m] += member_probs[m];
-    });
+    fold_votes(member_probs);
     ++prob_count;
 
     ensemble_.Add(std::move(member));
@@ -381,16 +422,19 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
     }
     Faults().MaybeCrashAtIteration(i);
     if (checkpoint_.halt_after_iteration == i) {  // simulated crash
-      ckpt_writer->Drain();
+      if (ckpt_writer != nullptr) ckpt_writer->Drain();
       return;
     }
   }
 
   // The final checkpoint (i == n) publishes concurrently with the
-  // baseline pass below; the drain both surfaces any publish error and
+  // baseline below; the drain both surfaces any publish error and
   // guarantees the file is in place before Fit returns (spe_cli retires
   // it only after the model artifact lands).
-  RecordHardnessBaseline(majority);
+  if (!config_.custom_hardness) {
+    const obs::TraceSpan span("spe.fit.hardness_baseline");
+    FreezeHardnessBaseline(vote_sum);
+  }
   if (ckpt_writer != nullptr) ckpt_writer->Drain();
 }
 
@@ -496,24 +540,38 @@ void SelfPacedEnsemble::WriteCheckpoint(
 }
 
 void SelfPacedEnsemble::RecordHardnessBaseline(const DatasetView& majority) {
-  // Freeze the drift baseline: hardness of the majority set under the
-  // ensemble exactly as it will serve (PredictProba — not the self-paced
-  // loop's prob_sum, which always includes the bootstrap model f0 even
-  // when include_bootstrap_model leaves f0 out of the final vote; a
-  // baseline binned over a different member set than the serving vote
-  // alerts on in-distribution traffic). Pure reporting — no Rng draw, so
-  // the determinism contract is untouched. Skipped for custom hardness
-  // closures: the artifact could not name them for the live side to
-  // rebuild (training_hardness() docs).
+  // Skipped for custom hardness closures: the artifact could not name
+  // them for the live side to rebuild (training_hardness() docs).
   training_hardness_ = HardnessHistogram();
   if (config_.custom_hardness || ensemble_.size() == 0) return;
   const obs::TraceSpan span("spe.fit.hardness_baseline");
-  const std::vector<double> probs = PredictProba(majority);
+  std::vector<double> vote_sum(majority.num_rows(), 0.0);
+  std::vector<double> probs;
+  for (std::size_t m = 0; m < ensemble_.size(); ++m) {
+    ScoreMember(ensemble_.member(m), majority, probs);
+    ParallelForGrain(0, vote_sum.size(), kUpdateGrain,
+                     [&](std::size_t r) { vote_sum[r] += probs[r]; });
+  }
+  FreezeHardnessBaseline(vote_sum);
+}
+
+void SelfPacedEnsemble::FreezeHardnessBaseline(std::vector<double>& vote_sum) {
+  // The drift baseline is the hardness of the majority set under the
+  // ensemble exactly as it will serve: the vote over the members that
+  // vote, not the self-paced loop's prob_sum, which always includes the
+  // bootstrap model f0 even when include_bootstrap_model leaves f0 out
+  // of the final vote (a baseline binned over a different member set
+  // than the serving vote alerts on in-distribution traffic). One
+  // multiply by 1/n turns the sum into VotingEnsemble::PredictProba's
+  // bits. Pure reporting — no Rng draw, so the determinism contract is
+  // untouched. vote_sum is overwritten with the per-row hardness.
+  SPE_CHECK_GT(ensemble_.size(), 0u);
+  const double inv = 1.0 / static_cast<double>(ensemble_.size());
   const HardnessFn hardness_fn = MakeHardness(config_.hardness);
-  std::vector<double> hardness(probs.size());
-  ParallelForGrain(0, probs.size(), kUpdateGrain, [&](std::size_t m) {
-    hardness[m] = hardness_fn(probs[m], 0);
+  ParallelForGrain(0, vote_sum.size(), kUpdateGrain, [&](std::size_t m) {
+    vote_sum[m] = hardness_fn(vote_sum[m] * inv, 0);
   });
+  const std::vector<double>& hardness = vote_sum;
   const HardnessBins bins = ComputeHardnessBins(hardness, config_.num_bins);
   training_hardness_.kind = HardnessName(config_.hardness);
   double min_h = hardness[0];
@@ -548,6 +606,7 @@ std::size_t SelfPacedEnsemble::FitWithValidation(const DatasetView& train,
     tracker.data_fingerprint = checkpoint::DatasetFingerprint(validation);
   }
   const IterationCallback user_callback = callback_;
+  std::vector<double> member_probs;  // reused by every member scored
 
   // If a base learner throws out of Fit, callback_ must not keep the
   // wrapper below — its captured locals die with this frame and the next
@@ -572,10 +631,10 @@ std::size_t SelfPacedEnsemble::FitWithValidation(const DatasetView& train,
     // ablation.
     for (; tracker.scored_members < info.ensemble.size();
          ++tracker.scored_members) {
-      const std::vector<double> p =
-          info.ensemble.member(tracker.scored_members).PredictProba(validation);
+      ScoreMember(info.ensemble.member(tracker.scored_members), validation,
+                  member_probs);
       for (std::size_t i = 0; i < tracker.prob_sum.size(); ++i) {
-        tracker.prob_sum[i] += p[i];
+        tracker.prob_sum[i] += member_probs[i];
       }
     }
     std::vector<double> average(tracker.prob_sum);

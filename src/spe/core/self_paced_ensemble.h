@@ -58,8 +58,9 @@ struct FitCheckpointOptions {
   std::size_t every = 1;   ///< checkpoint after every N-th iteration
   bool resume = false;     ///< continue from an existing checkpoint
   /// Tests only: return from Fit right after iteration N's checkpoint
-  /// publishes — an in-process stand-in for SIGKILL that keeps the
-  /// determinism matrix runnable inside one gtest binary. 0 = off.
+  /// publishes (with no `directory`, right after iteration N) — an
+  /// in-process stand-in for SIGKILL that keeps the determinism matrix
+  /// runnable inside one gtest binary. 0 = off.
   std::size_t halt_after_iteration = 0;
 };
 
@@ -199,10 +200,20 @@ class SelfPacedEnsemble final : public Classifier,
                        std::size_t next_iteration, std::size_t prob_count,
                        Rng& rng);
 
-  /// Re-bins the majority-set hardness under the current ensemble into
-  /// training_hardness_ (the drift baseline of v3 artifacts). Called at
-  /// the end of Fit and again after validation truncation, so the frozen
-  /// distribution always matches the member set that actually votes.
+  /// Bins the majority-set hardness under the final vote into
+  /// training_hardness_ (the drift baseline of v3 artifacts). `vote_sum`
+  /// is the sum of the voting members' probabilities over the majority
+  /// set, added in ensemble order from 0.0; dividing it by the member
+  /// count gives VotingEnsemble::PredictProba bit for bit. Fit passes
+  /// the accumulator its loop already keeps, so freezing the baseline
+  /// scores nothing. Overwrites `vote_sum` with the per-row hardness.
+  void FreezeHardnessBaseline(std::vector<double>& vote_sum);
+
+  /// Scores `majority` under the current ensemble, one member at a time
+  /// through Fit's member scorer, and freezes the result as above. Used
+  /// after validation truncation, so the frozen distribution matches the
+  /// member prefix that actually votes; a no-op (empty histogram) for
+  /// custom hardness functions.
   void RecordHardnessBaseline(const DatasetView& majority);
 
   SelfPacedEnsembleConfig config_;

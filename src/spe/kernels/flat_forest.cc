@@ -533,6 +533,16 @@ void SetSimdEnabled(bool enabled) {
 
 const char* SimdIsa() { return simd::kIsa; }
 
+namespace {
+
+bool LowerMember(const Classifier& member, FlatProgram& program,
+                 MemberOp& op) {
+  const auto* compilable = dynamic_cast<const FlatCompilable*>(&member);
+  return compilable != nullptr && compilable->LowerToFlat(program, op);
+}
+
+}  // namespace
+
 bool FlatForest::LowerEnsemble(const VotingEnsemble& ensemble,
                                FlatProgram& program, MemberOp& op) {
   if (ensemble.empty()) return false;
@@ -540,12 +550,8 @@ bool FlatForest::LowerEnsemble(const VotingEnsemble& ensemble,
   op.children.clear();
   op.children.reserve(ensemble.size());
   for (std::size_t m = 0; m < ensemble.size(); ++m) {
-    const auto* compilable =
-        dynamic_cast<const FlatCompilable*>(&ensemble.member(m));
     MemberOp child;
-    if (compilable == nullptr || !compilable->LowerToFlat(program, child)) {
-      return false;
-    }
+    if (!LowerMember(ensemble.member(m), program, child)) return false;
     op.children.push_back(std::move(child));
   }
   return true;
@@ -566,6 +572,15 @@ std::unique_ptr<const FlatForest> FlatForest::Compile(
         .Set(static_cast<double>(forest->program_.trees.size()));
     registry.GetCounter("spe_kernels_compiles_total").Add();
   }
+  return forest;
+}
+
+std::unique_ptr<const FlatForest> FlatForest::CompileMember(
+    const Classifier& member) {
+  auto forest = std::unique_ptr<FlatForest>(new FlatForest());
+  MemberOp op;
+  if (!LowerMember(member, forest->program_, op)) return nullptr;
+  forest->program_.members.push_back(std::move(op));
   return forest;
 }
 
@@ -590,6 +605,12 @@ bool FlatForest::BinnedAvailable() const { return Binned().ok; }
 
 void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
                                    std::span<double> out) const {
+  PredictPrefixInto(data, k, out, ActiveScoreMode());
+}
+
+void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
+                                   std::span<double> out,
+                                   ScoreMode mode) const {
   SPE_CHECK_GT(k, 0u);
   SPE_CHECK_EQ(out.size(), data.num_rows());
   data.CheckAlive();
@@ -604,7 +625,6 @@ void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
   const double* const x = data.row_major() ? data.rows_data() : nullptr;
   const bool use_simd = SimdEnabled();
 
-  ScoreMode mode = ActiveScoreMode();
   if (mode == ScoreMode::kBinned && !BinnedAvailable()) mode = ScoreMode::kF64;
 
   switch (mode) {
@@ -675,6 +695,17 @@ void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
       break;
     }
     case ScoreMode::kF64: {
+      // Columnar views read each value straight from its column, with
+      // the column pointers resolved once per call and the parent row
+      // index once per row. Per-element DatasetView::At re-resolves
+      // both; staging through it measured 2-4x slower.
+      std::vector<const double*> columns;
+      if (x == nullptr) {
+        columns.resize(stride);
+        for (std::size_t j = 0; j < stride; ++j) {
+          columns[j] = data.parent()->Column(j).data();
+        }
+      }
       const CompleteProgram& complete = Complete();
       const Rep<double, double> rep{program_.pool.feature.data(),
                                     program_.pool.threshold.data(),
@@ -695,8 +726,10 @@ void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
                     thread_local std::vector<double> buf;
                     buf.resize(count * stride);
                     for (std::size_t r = 0; r < count; ++r) {
+                      const std::size_t row = data.RowIndex(base + r);
+                      double* const dst = buf.data() + r * stride;
                       for (std::size_t j = 0; j < stride; ++j) {
-                        buf[r * stride + j] = data.At(base + r, j);
+                        dst[j] = columns[j][row];
                       }
                     }
                     AddScratchBytes(count * stride * sizeof(double));

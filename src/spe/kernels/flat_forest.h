@@ -106,6 +106,16 @@ class FlatForest {
   static bool LowerEnsemble(const VotingEnsemble& ensemble,
                             FlatProgram& program, MemberOp& op);
 
+  /// Lowers one classifier into a one-member program, for scoring that
+  /// member alone: PredictPrefixInto(data, 1, out) reduces as
+  /// (0 + p) * (1/1) and so gives the member's PredictProba bits. This
+  /// is how SelfPacedEnsemble::Fit scores each new member over the
+  /// majority set. Returns nullptr when the member cannot lower. Unlike
+  /// Compile, it leaves the spe_kernels_* metrics alone: those describe
+  /// the serving program, and a fit compiles one of these per member.
+  static std::unique_ptr<const FlatForest> CompileMember(
+      const Classifier& member);
+
   /// Mean probability over the first min(k, num_members()) members for
   /// every row of `data`, written to `out` (size must equal
   /// data.num_rows()), through the representation ActiveScoreMode()
@@ -122,6 +132,12 @@ class FlatForest {
   /// both feeds are bit-identical.
   void PredictPrefixInto(const DatasetView& data, std::size_t k,
                          std::span<double> out) const;
+
+  /// Same, through the representation `mode` names instead of the
+  /// process-wide one. Training passes ScoreMode::kF64 so that no other
+  /// mode can reach a fit.
+  void PredictPrefixInto(const DatasetView& data, std::size_t k,
+                         std::span<double> out, ScoreMode mode) const;
 
   /// Whether this program has a binned lowering (false when a feature
   /// carries more than kBinnedMaxCuts distinct thresholds). When false,

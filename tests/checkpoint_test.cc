@@ -387,6 +387,20 @@ TEST_F(ResumeDeterminismTest, ValidationEarlyStopSurvivesKillAndResume) {
   std::filesystem::remove_all(dir);
 }
 
+// The in-process crash stand-in needs no checkpoint directory: with
+// none set there is no publisher to drain, and Fit just stops after the
+// named iteration, before the drift baseline is frozen.
+TEST(HaltWithoutCheckpointTest, StopsAfterTheIterationWithoutPublishing) {
+  const Dataset data = OverlappingBlobs(200, 30, 3);
+  SelfPacedEnsemble model(TestConfig());
+  FitCheckpointOptions options;
+  options.halt_after_iteration = 4;
+  model.set_checkpoint_options(options);
+  model.Fit(data);
+  EXPECT_EQ(model.NumMembers(), 4u);
+  EXPECT_EQ(model.training_hardness(), nullptr);
+}
+
 // ---------------------------------------------------------------------
 // Resume refusals
 // ---------------------------------------------------------------------

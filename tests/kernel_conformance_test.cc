@@ -36,6 +36,7 @@
 
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/gbdt/gbdt.h"
+#include "spe/classifiers/logistic_regression.h"
 #include "spe/classifiers/random_forest.h"
 #include "spe/common/parallel.h"
 #include "spe/common/rng.h"
@@ -365,6 +366,52 @@ TEST_F(KernelConformanceTest, ScalarFallbackMatchesSimd) {
   } else {
     EXPECT_STRNE("scalar", kernels::SimdIsa());
   }
+}
+
+// One-member programs, the way SelfPacedEnsemble::Fit scores each new
+// member over the majority set: an index view over columnar rows with
+// NaN features, scored through the f64 representation even while the
+// process-wide mode says otherwise, must give the member's own
+// PredictProba bits. A member with no flat lowering compiles to nullptr
+// (Fit then falls back to PredictProba).
+TEST_F(KernelConformanceTest, CompileMemberMatchesMemberPredictProba) {
+  const Dataset train = OverlappingBlobs(700, 120, 61);
+  std::vector<std::unique_ptr<Classifier>> members;
+  members.push_back(std::make_unique<DecisionTree>());
+  members.push_back(std::make_unique<Gbdt>());
+  RandomForestConfig forest_config;
+  forest_config.n_estimators = 6;
+  members.push_back(std::make_unique<RandomForest>(forest_config));
+
+  const Dataset batch = RandomBatch(3000, 2, 62, NanPattern::kSparse);
+  std::vector<std::size_t> picked;  // strided, descending: a real gather
+  for (std::size_t r = batch.num_rows(); r-- > 0;) {
+    if (r % 3 != 1) picked.push_back(r);
+  }
+  const DatasetView view = DatasetView(batch).WithIndices(picked);
+  ASSERT_FALSE(view.row_major());
+
+  for (const auto& member : members) {
+    member->Fit(train);
+    const auto forest = kernels::FlatForest::CompileMember(*member);
+    ASSERT_NE(forest, nullptr) << member->Name();
+    EXPECT_EQ(forest->num_members(), 1u);
+    const std::vector<double> reference = member->PredictProba(view);
+    for (const kernels::ScoreMode mode :
+         {kernels::ScoreMode::kF64, kernels::ScoreMode::kF32,
+          kernels::ScoreMode::kBinned}) {
+      kernels::SetScoreMode(mode);
+      std::vector<double> got(view.num_rows());
+      forest->PredictPrefixInto(view, 1, got, kernels::ScoreMode::kF64);
+      EXPECT_TRUE(SameBytes(reference, got))
+          << member->Name() << " under " << kernels::ScoreModeName(mode);
+    }
+    kernels::SetScoreMode(kernels::ScoreMode::kF64);
+  }
+
+  LogisticRegression linear;
+  linear.Fit(train);
+  EXPECT_EQ(kernels::FlatForest::CompileMember(linear), nullptr);
 }
 
 // Mode knob plumbing: name round-trips and rejection of unknown names.

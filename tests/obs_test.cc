@@ -1,7 +1,8 @@
 // Unit tests for the spe::obs observability layer: the geometric
 // histogram's bucket geometry (pinned so exposition output cannot
 // silently shift), the metrics registry + collector lifecycle, the
-// trace ring, and the exposition text format.
+// trace ring, the exposition text format, and which compiles the
+// kernel metrics count.
 
 #include <algorithm>
 #include <cmath>
@@ -10,10 +11,14 @@
 #include <vector>
 
 #include "gtest/gtest.h"
+#include "spe/classifiers/decision_tree.h"
+#include "spe/core/self_paced_ensemble.h"
+#include "spe/kernels/flat_forest.h"
 #include "spe/obs/histogram.h"
 #include "spe/obs/metrics.h"
 #include "spe/obs/trace.h"
 #include "spe/serve/server_stats.h"
+#include "tests/test_util.h"
 
 namespace spe {
 namespace {
@@ -329,6 +334,38 @@ TEST(ServerStatsExpositionTest, PublishesServeFamily) {
   EXPECT_NE(out.find("# TYPE spe_serve_batch_size histogram\n"),
             std::string::npos);
   EXPECT_NE(out.find("spe_serve_batch_size_sum 4\n"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel metrics describe the serving program. spe_kernels_compiles_total
+// and spe_kernels_compiled_trees come from FlatForest::Compile; the
+// one-member programs a fit compiles to score each new member
+// (FlatForest::CompileMember) must move neither.
+
+TEST(KernelMetricsTest, MemberCompilesInsideFitLeaveServingMetricsAlone) {
+  obs::SetEnabled(true);
+  auto& registry = obs::MetricsRegistry::Global();
+  obs::Counter& compiles = registry.GetCounter("spe_kernels_compiles_total");
+  obs::Gauge& trees = registry.GetGauge("spe_kernels_compiled_trees");
+
+  SelfPacedEnsembleConfig config;
+  config.n_estimators = 3;
+  SelfPacedEnsemble served(config, std::make_unique<DecisionTree>());
+  served.Fit(testing::OverlappingBlobs(400, 60, 5));
+  const std::uint64_t before_serving_compile = compiles.value();
+  ASSERT_NE(served.flat_kernel(), nullptr);  // the serving compile
+  EXPECT_EQ(compiles.value(), before_serving_compile + 1);
+  EXPECT_EQ(trees.value(), 3.0);
+
+  // A larger fit afterwards compiles one program per member it scores.
+  config.n_estimators = 6;
+  config.include_bootstrap_model = true;
+  SelfPacedEnsemble trained(config, std::make_unique<DecisionTree>());
+  trained.Fit(testing::OverlappingBlobs(400, 60, 6));
+  ASSERT_NE(kernels::FlatForest::CompileMember(trained.members().member(0)),
+            nullptr);
+  EXPECT_EQ(compiles.value(), before_serving_compile + 1);
+  EXPECT_EQ(trees.value(), 3.0);
 }
 
 }  // namespace

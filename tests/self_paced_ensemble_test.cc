@@ -1,15 +1,22 @@
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <limits>
 #include <memory>
+#include <sstream>
 #include <stdexcept>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "spe/classifiers/decision_tree.h"
 #include "spe/classifiers/factory.h"
+#include "spe/classifiers/gbdt/gbdt.h"
 #include "spe/core/self_paced_ensemble.h"
+#include "spe/io/model_io.h"
+#include "spe/kernels/flat_forest.h"
 #include "spe/metrics/metrics.h"
 #include "spe/sampling/random_under.h"
 #include "tests/test_util.h"
@@ -382,6 +389,146 @@ INSTANTIATE_TEST_SUITE_P(Schedules, SpeScheduleTest,
                                            AlphaSchedule::kZero,
                                            AlphaSchedule::kInfinity,
                                            AlphaSchedule::kLinear));
+
+// Training scores each member once, through its compiled f64 program
+// when it lowers and through PredictProba otherwise, and freezes the
+// drift baseline from its own vote accumulator. None of that may show:
+// the kernel switch and the process-wide scoring mode change speed
+// only, a halted-and-resumed run rebuilds the same accumulators, and
+// the baseline equals the hardness bins of the served vote.
+class SpeTrainingScorerTest
+    : public ::testing::TestWithParam<std::tuple<std::string, bool>> {
+ protected:
+  void TearDown() override {
+    kernels::SetFlatKernelEnabled(true);
+    kernels::SetScoreMode(kernels::ScoreMode::kF64);
+  }
+
+  struct Trained {
+    std::string bundle;
+    HardnessHistogram hardness;
+  };
+
+  SelfPacedEnsemble Make() const {
+    SelfPacedEnsembleConfig config;
+    config.n_estimators = 8;
+    config.seed = 21;
+    config.include_bootstrap_model = std::get<1>(GetParam());
+    std::unique_ptr<Classifier> base;
+    if (std::get<0>(GetParam()) == "gbdt") {
+      base = std::make_unique<Gbdt>();
+    } else {
+      base = std::make_unique<DecisionTree>();
+    }
+    return SelfPacedEnsemble(config, std::move(base));
+  }
+
+  static Trained Collect(const SelfPacedEnsemble& model) {
+    std::ostringstream os;
+    SaveModelBundle(model, 2, os);
+    EXPECT_NE(model.training_hardness(), nullptr);
+    return {os.str(), model.training_hardness() != nullptr
+                          ? *model.training_hardness()
+                          : HardnessHistogram()};
+  }
+
+  Trained FitOnce(const Dataset& train) const {
+    SelfPacedEnsemble model = Make();
+    model.Fit(train);
+    return Collect(model);
+  }
+};
+
+void ExpectSameHistogram(const HardnessHistogram& a, const HardnessHistogram& b,
+                         const char* what) {
+  EXPECT_EQ(a.kind, b.kind) << what;
+  EXPECT_EQ(a.min, b.min) << what;
+  EXPECT_EQ(a.max, b.max) << what;
+  EXPECT_EQ(a.counts, b.counts) << what;
+}
+
+TEST_P(SpeTrainingScorerTest, KernelSwitchAndScoreModeDoNotReachTraining) {
+  const Dataset train = OverlappingBlobs(3000, 150, 31);
+  const Trained truth = FitOnce(train);
+
+  kernels::SetFlatKernelEnabled(false);
+  const Trained reference = FitOnce(train);
+  kernels::SetFlatKernelEnabled(true);
+  EXPECT_EQ(reference.bundle, truth.bundle) << "kernel off";
+  ExpectSameHistogram(reference.hardness, truth.hardness, "kernel off");
+
+  for (const kernels::ScoreMode mode :
+       {kernels::ScoreMode::kF32, kernels::ScoreMode::kBinned}) {
+    kernels::SetScoreMode(mode);
+    const Trained moded = FitOnce(train);
+    kernels::SetScoreMode(kernels::ScoreMode::kF64);
+    EXPECT_EQ(moded.bundle, truth.bundle) << kernels::ScoreModeName(mode);
+    ExpectSameHistogram(moded.hardness, truth.hardness,
+                        kernels::ScoreModeName(mode));
+  }
+}
+
+TEST_P(SpeTrainingScorerTest, BaselineEqualsBinsOfTheServedVote) {
+  const Dataset train = OverlappingBlobs(3000, 150, 32);
+  SelfPacedEnsemble model = Make();
+  model.Fit(train);
+  ASSERT_NE(model.training_hardness(), nullptr);
+
+  const DatasetView full(train);
+  const std::vector<double> probs =
+      model.PredictProba(full.WithIndices(train.NegativeIndices()));
+  const HardnessFn fn = MakeHardness(HardnessKind::kAbsoluteError);
+  std::vector<double> hardness(probs.size());
+  for (std::size_t m = 0; m < probs.size(); ++m) hardness[m] = fn(probs[m], 0);
+  const HardnessBins bins = ComputeHardnessBins(hardness, 20);
+
+  const HardnessHistogram& frozen = *model.training_hardness();
+  EXPECT_EQ(frozen.kind, "AE");
+  EXPECT_EQ(frozen.min, *std::min_element(hardness.begin(), hardness.end()));
+  EXPECT_EQ(frozen.max, *std::max_element(hardness.begin(), hardness.end()));
+  EXPECT_EQ(frozen.counts, std::vector<std::uint64_t>(bins.population.begin(),
+                                                      bins.population.end()));
+}
+
+TEST_P(SpeTrainingScorerTest, HaltedAndResumedRunFreezesTheSameBaseline) {
+  const Dataset train = OverlappingBlobs(3000, 150, 33);
+  const Trained truth = FitOnce(train);
+
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("spe_training_scorer_" + std::get<0>(GetParam()) +
+       (std::get<1>(GetParam()) ? "_f0" : ""));
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  FitCheckpointOptions options;
+  options.directory = dir.string();
+  {
+    SelfPacedEnsemble halted = Make();
+    options.halt_after_iteration = 5;
+    halted.set_checkpoint_options(options);
+    halted.Fit(train);
+    EXPECT_EQ(halted.training_hardness(), nullptr);
+  }
+  SelfPacedEnsemble resumed = Make();
+  options.halt_after_iteration = 0;
+  options.resume = true;
+  resumed.set_checkpoint_options(options);
+  resumed.Fit(train);
+  const Trained got = Collect(resumed);
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(got.bundle, truth.bundle);
+  ExpectSameHistogram(got.hardness, truth.hardness, "resumed");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BasesAndBootstrap, SpeTrainingScorerTest,
+    ::testing::Combine(::testing::Values(std::string("dt"),
+                                         std::string("gbdt")),
+                       ::testing::Bool()),
+    [](const ::testing::TestParamInfo<SpeTrainingScorerTest::ParamType>& info) {
+      return std::get<0>(info.param) +
+             (std::get<1>(info.param) ? "_with_f0" : "_without_f0");
+    });
 
 }  // namespace
 }  // namespace spe
