@@ -98,10 +98,13 @@ bool ParseDoublePrefix(std::string_view s, std::size_t& i, double* out,
   if (out_of_range != nullptr) *out_of_range = false;
   if (i >= s.size()) return false;
   const char* const end = s.data() + s.size();
-  // from_chars rejects a leading '+' that strtod accepted; skip it and
-  // let from_chars refuse whatever follows ("+-1" stays one refusal).
+  // from_chars rejects a leading '+' that strtod accepted; skip it, and
+  // refuse a second sign after it ("+-1"), which from_chars would take.
   const char* begin = s.data() + i;
-  if (*begin == '+') ++begin;
+  if (*begin == '+') {
+    ++begin;
+    if (begin != end && *begin == '-') return false;
+  }
   double v = 0.0;
   const std::from_chars_result r =
       std::from_chars(begin, end, v, std::chars_format::general);

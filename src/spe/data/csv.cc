@@ -1,25 +1,33 @@
 #include "spe/data/csv.h"
 
+#include <algorithm>
+#include <cstring>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "spe/common/check.h"
 #include "spe/common/fault.h"
 #include "spe/common/retry.h"
+#include "spe/data/text_reader.h"
 
 namespace spe {
 namespace {
 
-std::vector<std::string> SplitLine(const std::string& line) {
-  std::vector<std::string> fields;
-  std::string field;
-  std::istringstream is(line);
-  while (std::getline(is, field, ',')) fields.push_back(field);
-  // A trailing comma means a final empty field.
-  if (!line.empty() && line.back() == ',') fields.emplace_back();
-  return fields;
+/// Rows to reserve per column: the file size over the first row's
+/// length, plus a quarter for rows longer than the first. Reserved
+/// pages that are never written are never touched, so an overestimate
+/// costs address space, not memory; an underestimate only means one
+/// reallocation per column.
+std::size_t EstimateRows(std::uint64_t file_size, std::size_t row_bytes) {
+  const std::uint64_t rows = file_size / (row_bytes + 1);
+  return static_cast<std::size_t>(rows + rows / 4 + 1);
+}
+
+[[noreturn]] void FailField(const TextLineReader& reader, std::size_t field,
+                            const char* reason, std::string_view text) {
+  reader.Fail("field " + std::to_string(field + 1) + ": " + reason + " " +
+              QuoteField(text));
 }
 
 }  // namespace
@@ -32,39 +40,59 @@ Dataset LoadCsv(const std::string& path, std::size_t label_column, bool has_head
         "injected fault: transient data read failed for " + path,
         /*injected=*/true);
   }
-  std::ifstream in(path);
-  SPE_CHECK(in.good()) << "cannot open " << path;
+  TextLineReader reader(path);
+  std::string_view line;
+  if (has_header) reader.Next(&line);
 
-  std::string line;
-  if (has_header) std::getline(in, line);
-
-  Dataset data;
-  bool first_row = true;
-  std::size_t line_number = has_header ? 1 : 0;
-  while (std::getline(in, line)) {
-    ++line_number;
+  std::vector<std::vector<double>> columns;
+  std::vector<int> labels;
+  std::size_t num_fields = 0;  // fixed by the first data row
+  while (reader.Next(&line)) {
     if (line.empty()) continue;
-    const std::vector<std::string> fields = SplitLine(line);
-    SPE_CHECK_GT(fields.size(), label_column)
-        << path << ":" << line_number << ": missing label column";
-    if (first_row) {
-      data = Dataset(fields.size() - 1);
-      first_row = false;
+    if (num_fields == 0) {
+      num_fields = 1 + static_cast<std::size_t>(
+                           std::count(line.begin(), line.end(), ','));
+      if (num_fields <= label_column) reader.Fail("missing label column");
+      const std::size_t rows = EstimateRows(reader.file_size(), line.size());
+      columns.resize(num_fields - 1);
+      for (auto& column : columns) column.reserve(rows);
+      labels.reserve(rows);
     }
-    SPE_CHECK_EQ(fields.size(), data.num_features() + 1)
-        << path << ":" << line_number << ": inconsistent column count";
-
-    std::vector<double> features;
-    features.reserve(data.num_features());
-    int label = -1;
-    for (std::size_t j = 0; j < fields.size(); ++j) {
-      if (j == label_column) {
-        label = std::stoi(fields[j]);
-      } else {
-        features.push_back(std::stod(fields[j]));
+    const char* p = line.data();
+    const char* const end = p + line.size();
+    for (std::size_t f = 0; f < num_fields; ++f) {
+      const char* stop = static_cast<const char*>(
+          std::memchr(p, ',', static_cast<std::size_t>(end - p)));
+      const bool last = f + 1 == num_fields;
+      if ((stop == nullptr) != last) {
+        const std::size_t found =
+            1 + static_cast<std::size_t>(std::count(line.begin(), line.end(), ','));
+        reader.Fail("inconsistent column count: expected " +
+                    std::to_string(num_fields) + " fields, found " +
+                    std::to_string(found));
       }
+      if (last) stop = end;
+      const std::string_view field(p, static_cast<std::size_t>(stop - p));
+      if (f == label_column) {
+        long long label = 0;
+        const char* reason = ParseIntegerField(field, &label);
+        if (reason == nullptr && label != 0 && label != 1) {
+          reason = "label must be 0 or 1, got";
+        }
+        if (reason != nullptr) FailField(reader, f, reason, field);
+        labels.push_back(static_cast<int>(label));
+      } else {
+        double value = 0.0;
+        const char* reason = ParseNumberField(field, &value);
+        if (reason != nullptr) FailField(reader, f, reason, field);
+        columns[f < label_column ? f : f - 1].push_back(value);
+      }
+      p = stop + 1;
     }
-    data.AddRow(features, label);
+  }
+  Dataset data;
+  if (num_fields > 0) {
+    data.mutable_matrix().AdoptColumns(std::move(columns), std::move(labels));
   }
   return data;
 }

@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "spe/common/check.h"
 #include "spe/common/fault.h"
 #include "spe/common/retry.h"
+#include "spe/data/text_reader.h"
 
 namespace spe {
 namespace {
@@ -18,41 +18,56 @@ struct SparseRow {
   std::vector<std::pair<std::size_t, double>> entries;  // 0-based index
 };
 
-SparseRow ParseLine(const std::string& line, const std::string& path,
-                    std::size_t line_number) {
+/// Next blank-separated token of `line` at or after `pos`; empty at the
+/// end of the line.
+std::string_view NextToken(std::string_view line, std::size_t& pos) {
+  auto blank = [](char c) { return c == ' ' || c == '\t'; };
+  while (pos < line.size() && blank(line[pos])) ++pos;
+  const std::size_t start = pos;
+  while (pos < line.size() && !blank(line[pos])) ++pos;
+  return line.substr(start, pos - start);
+}
+
+SparseRow ParseLine(std::string_view line, const std::string& path,
+                    const TextLineReader& reader) {
   SparseRow row;
-  std::istringstream is(line);
-  SPE_CHECK(static_cast<bool>(is >> row.raw_label))
-      << path << ":" << line_number << ": missing label";
-  std::string token;
-  while (is >> token) {
-    if (!token.empty() && token[0] == '#') break;  // trailing comment
+  std::size_t pos = 0;
+  const std::string_view label_text = NextToken(line, pos);
+  if (label_text.empty()) reader.Fail("missing label");
+  long long label = 0;
+  if (const char* reason = ParseIntegerField(label_text, &label)) {
+    reader.Fail(std::string("label: ") + reason + " " + QuoteField(label_text));
+  }
+  if (label < -1 || label > 2) {
+    reader.Fail("unsupported label " + QuoteField(label_text));
+  }
+  row.raw_label = static_cast<int>(label);
+  for (std::string_view token = NextToken(line, pos); !token.empty();
+       token = NextToken(line, pos)) {
+    if (token[0] == '#') break;  // trailing comment
     const std::size_t colon = token.find(':');
-    SPE_CHECK_NE(colon, std::string::npos)
-        << path << ":" << line_number << ": bad feature token '" << token << "'";
-    const long index = std::stol(token.substr(0, colon));
-    SPE_CHECK_GE(index, 1) << path << ":" << line_number
+    if (colon == std::string_view::npos) {
+      reader.Fail("bad feature token " + QuoteField(token));
+    }
+    long long index = 0;
+    if (const char* reason = ParseIntegerField(token.substr(0, colon), &index)) {
+      reader.Fail(std::string("feature index: ") + reason + " " +
+                  QuoteField(token));
+    }
+    SPE_CHECK_GE(index, 1) << path << ":" << reader.line_number()
                            << ": LIBSVM indices are 1-based";
-    const double value = std::stod(token.substr(colon + 1));
+    double value = 0.0;
+    if (const char* reason = ParseNumberField(token.substr(colon + 1), &value)) {
+      reader.Fail(std::string("feature value: ") + reason + " " +
+                  QuoteField(token));
+    }
     row.entries.emplace_back(static_cast<std::size_t>(index - 1), value);
   }
   return row;
 }
 
-int MapLabel(int raw, const std::string& path) {
-  switch (raw) {
-    case 0:
-    case -1:
-      return 0;
-    case 1:
-      return 1;
-    case 2:
-      return 1;  // the {1, 2} convention: 2 is the positive class
-    default:
-      SPE_CHECK(false) << path << ": unsupported label " << raw;
-      return 0;  // unreachable
-  }
-}
+/// Maps a raw label already known to be in {-1, 0, 1, 2}.
+int MapLabel(int raw) { return raw >= 1 ? 1 : 0; }
 
 }  // namespace
 
@@ -63,23 +78,18 @@ Dataset LoadLibsvm(const std::string& path, std::size_t num_features) {
         "injected fault: transient data read failed for " + path,
         /*injected=*/true);
   }
-  std::ifstream in(path);
-  SPE_CHECK(in.good()) << "cannot open " << path;
+  TextLineReader reader(path);
 
   std::vector<SparseRow> rows;
   std::size_t max_index = 0;
-  bool saw_label_one = false;
   bool saw_label_two = false;
-  std::string line;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
+  std::string_view line;
+  while (reader.Next(&line)) {
     if (line.empty() || line[0] == '#') continue;
-    rows.push_back(ParseLine(line, path, line_number));
+    rows.push_back(ParseLine(line, path, reader));
     for (const auto& [index, value] : rows.back().entries) {
       max_index = std::max(max_index, index + 1);
     }
-    saw_label_one |= rows.back().raw_label == 1;
     saw_label_two |= rows.back().raw_label == 2;
   }
   SPE_CHECK(!rows.empty()) << path << ": no data rows";
@@ -98,7 +108,7 @@ Dataset LoadLibsvm(const std::string& path, std::size_t num_features) {
     // files use 1 as positive. Disambiguate by whether a 2 ever appears.
     const int label = (saw_label_two && row.raw_label == 1)
                           ? 0
-                          : MapLabel(row.raw_label, path);
+                          : MapLabel(row.raw_label);
     data.AddRow(dense, label);
   }
   return data;

@@ -119,6 +119,22 @@ void DataMatrix::CopyRowTo(std::size_t row, std::span<double> out) const {
   AddScratchBytes(num_features_ * sizeof(double));
 }
 
+void DataMatrix::AdoptColumns(std::vector<std::vector<double>> columns,
+                              std::vector<int> labels) {
+  num_features_ = columns.size();
+  num_rows_ = labels.size();
+  for (const auto& c : columns) SPE_CHECK_EQ(c.size(), num_rows_);
+  cols_ = std::move(columns);
+  labels_ = std::move(labels);
+  kinds_.assign(num_features_, FeatureKind::kNumerical);
+  mapping_.reset();
+  mapped_cols_.clear();
+  ++version_;
+  if (num_rows_ > 0) {
+    AddMaterializeBytes(num_rows_ * (num_features_ * sizeof(double) + sizeof(int)));
+  }
+}
+
 void DataMatrix::AdoptMapped(std::shared_ptr<const internal::MappedBlock> block,
                              std::vector<std::span<const double>> columns,
                              std::vector<int> labels,

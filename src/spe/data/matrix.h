@@ -127,6 +127,13 @@ class DataMatrix {
   /// Gathers row `row` into `out` (size num_features). Scratch traffic.
   void CopyRowTo(std::size_t row, std::span<double> out) const;
 
+  /// Takes ownership of parsed columns: `columns[c]` is feature c, every
+  /// one as long as `labels` (0/1 each), all features numerical. Metered
+  /// as one materialization of every row: the bytes AddRow would have
+  /// counted, in one op.
+  void AdoptColumns(std::vector<std::vector<double>> columns,
+                    std::vector<int> labels);
+
   /// Adopts an mmap'ed region: column c is `columns[c]`, all of equal
   /// length, kept alive by `block`. Labels are copied (owned).
   void AdoptMapped(std::shared_ptr<const internal::MappedBlock> block,

@@ -5,6 +5,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -28,6 +29,10 @@ constexpr std::uint32_t kFormatVersion = 1;
 // magic + version + rows + features + label_column + has_header +
 // source size + source mtime.
 constexpr std::size_t kFixedHeaderBytes = 4 + 4 + 8 + 8 + 8 + 1 + 8 + 8;
+
+// Piece size for streaming the sidecar: small enough that a piece is
+// still in cache when it is written after being CRC'd.
+constexpr std::size_t kWritePieceBytes = std::size_t{256} << 10;
 
 std::size_t AlignUp8(std::size_t n) { return (n + 7) & ~std::size_t{7}; }
 
@@ -158,8 +163,14 @@ std::string SidecarPathFor(const std::string& csv_path) {
   return csv_path + ".spmc";
 }
 
-SidecarInfo InspectSidecar(const std::string& csv_path,
-                           std::size_t label_column, bool has_header) {
+namespace {
+
+/// Classifies the sidecar of `csv_path`: maps it and verifies its CRC
+/// once, then checks the source stamp and the parse options. On kValid,
+/// `mapped` holds that verified mapping, ready to adopt.
+SidecarInfo ClassifySidecar(const std::string& csv_path,
+                            std::size_t label_column, bool has_header,
+                            MappedSidecar* mapped) {
   SidecarInfo info;
   info.sidecar_path = SidecarPathFor(csv_path);
   struct stat st{};
@@ -195,54 +206,75 @@ SidecarInfo InspectSidecar(const std::string& csv_path,
   info.detail = "mmap-ready";
   info.num_rows = static_cast<std::size_t>(m.num_rows);
   info.num_features = static_cast<std::size_t>(m.num_features);
+  *mapped = std::move(m);
   return info;
+}
+
+}  // namespace
+
+SidecarInfo InspectSidecar(const std::string& csv_path,
+                           std::size_t label_column, bool has_header) {
+  MappedSidecar unused;
+  return ClassifySidecar(csv_path, label_column, has_header, &unused);
 }
 
 bool WriteSidecar(const Dataset& data, const std::string& csv_path,
                   std::size_t label_column, bool has_header) {
+  static_assert(sizeof(int) == sizeof(std::int32_t),
+                "labels are written straight from the int label vector");
   SourceStamp src;
   if (!StatSource(csv_path, &src)) return false;
 
-  std::string buf;
   const std::size_t rows = data.num_rows();
   const std::size_t d = data.num_features();
-  buf.reserve(AlignUp8(kFixedHeaderBytes + d) + d * rows * sizeof(double) +
-              rows * sizeof(std::int32_t) + sizeof(std::uint32_t));
-  buf.append(kMagic, sizeof(kMagic));
-  PutLe<std::uint32_t>(buf, kFormatVersion);
-  PutLe<std::uint64_t>(buf, rows);
-  PutLe<std::uint64_t>(buf, d);
-  PutLe<std::uint64_t>(buf, label_column);
-  buf.push_back(has_header ? '\x01' : '\x00');
-  PutLe<std::uint64_t>(buf, src.size);
-  PutLe<std::uint64_t>(buf, src.mtime_ns);
+  std::string header;
+  header.append(kMagic, sizeof(kMagic));
+  PutLe<std::uint32_t>(header, kFormatVersion);
+  PutLe<std::uint64_t>(header, rows);
+  PutLe<std::uint64_t>(header, d);
+  PutLe<std::uint64_t>(header, label_column);
+  header.push_back(has_header ? '\x01' : '\x00');
+  PutLe<std::uint64_t>(header, src.size);
+  PutLe<std::uint64_t>(header, src.mtime_ns);
   for (std::size_t j = 0; j < d; ++j) {
-    buf.push_back(data.feature_kind(j) == FeatureKind::kCategorical ? '\x01'
-                                                                    : '\x00');
+    header.push_back(data.feature_kind(j) == FeatureKind::kCategorical
+                         ? '\x01'
+                         : '\x00');
   }
-  buf.append(AlignUp8(buf.size()) - buf.size(), '\x00');
-  for (std::size_t j = 0; j < d; ++j) {
-    auto col = data.Column(j).values;
-    buf.append(reinterpret_cast<const char*>(col.data()),
-               col.size() * sizeof(double));
-  }
-  for (std::size_t i = 0; i < rows; ++i) {
-    PutLe<std::int32_t>(buf, static_cast<std::int32_t>(data.Label(i)));
-  }
-  PutLe<std::uint32_t>(buf, Crc32(buf));
+  header.append(AlignUp8(header.size()) - header.size(), '\x00');
 
-  // Atomic publish: write the whole image to a temp file, then rename
-  // over the final path so readers only ever see absent or complete.
+  // Atomic publish: stream the image to a temp file, then rename over
+  // the final path so readers only ever see absent or complete. The
+  // image is never held in memory: each piece is CRC'd and written
+  // while still in cache, straight from the dataset's own storage.
   const std::string final_path = SidecarPathFor(csv_path);
   const std::string tmp_path = final_path + ".tmp";
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out.good()) return false;
-    out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-    if (!out.good()) {
-      std::remove(tmp_path.c_str());
-      return false;
+  std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+  if (!out.good()) return false;
+  std::uint32_t crc = 0;
+  auto emit = [&](const void* bytes, std::size_t size) {
+    const char* p = static_cast<const char*>(bytes);
+    while (size > 0) {
+      const std::size_t n = std::min(size, kWritePieceBytes);
+      crc = Crc32Update(crc, std::string_view(p, n));
+      out.write(p, static_cast<std::streamsize>(n));
+      p += n;
+      size -= n;
     }
+  };
+  emit(header.data(), header.size());
+  for (std::size_t j = 0; j < d; ++j) {
+    const std::span<const double> col = data.Column(j).values;
+    emit(col.data(), col.size() * sizeof(double));
+  }
+  emit(data.labels().data(), rows * sizeof(std::int32_t));
+  std::string trailer;
+  PutLe<std::uint32_t>(trailer, crc);
+  out.write(trailer.data(), static_cast<std::streamsize>(trailer.size()));
+  out.close();
+  if (out.fail()) {
+    std::remove(tmp_path.c_str());
+    return false;
   }
   if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
     std::remove(tmp_path.c_str());
@@ -261,34 +293,30 @@ Dataset LoadCsvCached(const std::string& path, std::size_t label_column,
         "injected fault: transient data read failed for " + path,
         /*injected=*/true);
   }
-  const SidecarInfo info = InspectSidecar(path, label_column, has_header);
-  if (info.status == SidecarStatus::kValid) {
-    MappedSidecar m;
-    std::string reason;
-    // A race (sidecar replaced between inspect and map) degrades to the
-    // parser below; never an error.
-    if (MapSidecar(info.sidecar_path, &m, &reason)) {
-      const std::size_t rows = static_cast<std::size_t>(m.num_rows);
-      const std::size_t d = static_cast<std::size_t>(m.num_features);
-      std::vector<std::span<const double>> columns(d);
-      for (std::size_t j = 0; j < d; ++j) {
-        columns[j] = {m.columns + j * rows, rows};
-      }
-      std::vector<int> labels(rows);
-      for (std::size_t i = 0; i < rows; ++i) {
-        labels[i] = static_cast<int>(m.labels[i]);
-      }
-      std::vector<FeatureKind> kinds(d);
-      for (std::size_t j = 0; j < d; ++j) {
-        kinds[j] = m.kinds[j] != 0 ? FeatureKind::kCategorical
-                                   : FeatureKind::kNumerical;
-      }
-      Dataset data;
-      data.mutable_matrix().AdoptMapped(std::move(m.block), std::move(columns),
-                                        std::move(labels), std::move(kinds));
-      return data;
+  MappedSidecar m;
+  if (ClassifySidecar(path, label_column, has_header, &m).status ==
+      SidecarStatus::kValid) {
+    const std::size_t rows = static_cast<std::size_t>(m.num_rows);
+    const std::size_t d = static_cast<std::size_t>(m.num_features);
+    std::vector<std::span<const double>> columns(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      columns[j] = {m.columns + j * rows, rows};
     }
+    std::vector<int> labels(rows);
+    for (std::size_t i = 0; i < rows; ++i) {
+      labels[i] = static_cast<int>(m.labels[i]);
+    }
+    std::vector<FeatureKind> kinds(d);
+    for (std::size_t j = 0; j < d; ++j) {
+      kinds[j] = m.kinds[j] != 0 ? FeatureKind::kCategorical
+                                 : FeatureKind::kNumerical;
+    }
+    Dataset data;
+    data.mutable_matrix().AdoptMapped(std::move(m.block), std::move(columns),
+                                      std::move(labels), std::move(kinds));
+    return data;
   }
+  // Absent, stale or corrupt: the parser is the source of truth.
   Dataset data = LoadCsv(path, label_column, has_header);
   WriteSidecar(data, path, label_column, has_header);  // best effort
   return data;

@@ -10,13 +10,14 @@ namespace spe {
 
 /// Parse-once mmap-reuse cache for CSV datasets.
 ///
-/// The first LoadCsvCached for a CSV parses it in memory and writes a
+/// The first LoadCsvCached for a CSV parses it and streams a
 /// column-major binary sidecar next to it (`<path>.spmc`, atomic
-/// tmp+rename publish). Subsequent loads mmap the sidecar read-only and
-/// adopt its columns zero-copy into the Dataset's DataMatrix — no parse,
-/// no materialization; the OS pages features in on demand. Labels are
-/// always copied out eagerly (4 bytes/row) so `labels()` stays a plain
-/// vector.
+/// tmp+rename publish) straight from the parsed columns, without an
+/// in-memory copy of the image. Subsequent loads map the sidecar
+/// read-only, verify its CRC once, and adopt its columns zero-copy into
+/// the Dataset's DataMatrix — no parse, no materialization; the OS pages
+/// features in on demand. Labels are always copied out eagerly (4
+/// bytes/row) so `labels()` stays a plain vector.
 ///
 /// Sidecar layout (little-endian, version 1):
 ///
@@ -64,7 +65,8 @@ SidecarInfo InspectSidecar(const std::string& csv_path,
 
 /// LoadCsv with the sidecar cache in front: mmap-adopts a valid sidecar,
 /// otherwise parses the CSV and (best effort) publishes a fresh sidecar
-/// for next time. Identical resulting values either way.
+/// for next time. Identical resulting values either way. A malformed
+/// CSV throws DataFormatError (csv.h) and publishes nothing.
 Dataset LoadCsvCached(const std::string& path, std::size_t label_column,
                       bool has_header = true);
 

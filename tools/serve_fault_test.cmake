@@ -10,7 +10,8 @@
 #   5. SPE_FAULTS=score_delay_ms + watermark flags: backlog builds behind
 #      the slowed worker and responses are marked "degraded":true
 #   6. flag-parsing hardening: duplicate flags and garbage values are
-#      usage errors, not silently misread config
+#      usage errors, not silently misread config; a missing data file is
+#      an I/O error (3) and a malformed one a corrupt input (4)
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -200,6 +201,18 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 3 OR NOT err MATCHES "cannot open")
   message(FATAL_ERROR "missing data must exit 3 (I/O): rc=${rc} ${err}")
+endif()
+
+# Malformed data content ("1.5x" is not a number): refused with its
+# path:line and the corrupt exit code (4), not read as 1.5 and not a
+# generic runtime error.
+file(WRITE ${dir}/malformed.csv "a,b,label\n1.5,2,1\n1.5x,2,0\n")
+execute_process(
+  COMMAND ${SPE_CLI} train --data ${dir}/malformed.csv --n 5
+    --model ${dir}/ignored.model
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 4 OR NOT err MATCHES "malformed.csv:3: field 1: not a number")
+  message(FATAL_ERROR "malformed CSV must exit 4 (corrupt): rc=${rc} ${err}")
 endif()
 
 message(STATUS "serve fault-injection pipeline ok")

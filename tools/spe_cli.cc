@@ -40,6 +40,7 @@
 #include "spe/data/csv.h"
 #include "spe/data/libsvm.h"
 #include "spe/data/mmap_cache.h"
+#include "spe/data/text_reader.h"
 #include "spe/eval/cross_validation.h"
 #include "spe/imbalance/balance_cascade.h"
 #include "spe/imbalance/under_bagging.h"
@@ -466,6 +467,11 @@ int main(int argc, char** argv) {
     // arose; reaching main means the condition outlived the backoff.
     std::fprintf(stderr, "error: %s\n", error.what());
     return error.injected() ? spe::kExitFault : spe::kExitIo;
+  } catch (const spe::DataFormatError& error) {
+    // Malformed data file content: as untrustworthy as a corrupt
+    // artifact, and no retry can heal it.
+    std::fprintf(stderr, "error: %s\n", error.what());
+    return spe::kExitCorruptArtifact;
   } catch (const std::exception& error) {
     std::fprintf(stderr, "error: %s\n", error.what());
     return spe::kExitRuntime;
