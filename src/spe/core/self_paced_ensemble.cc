@@ -46,14 +46,12 @@ void CheckProbsAreNotNan(const std::vector<double>& probs,
 // when it lowers and the kernel is on, and through the reference
 // PredictProba otherwise. A one-member program reduces as (0 + p) * 1,
 // so both paths give the same bits (the kernel conformance contract).
-// Training always scores in f64, whatever ActiveScoreMode() says: a
-// narrower mode must never reach the hardness or the artifact.
 void ScoreMember(const Classifier& member, const DatasetView& data,
                  std::vector<double>& out) {
   if (kernels::FlatKernelEnabled()) {
     if (const auto forest = kernels::FlatForest::CompileMember(member)) {
       out.resize(data.num_rows());
-      forest->PredictPrefixInto(data, 1, out, kernels::ScoreMode::kF64);
+      forest->PredictPrefixInto(data, 1, out);
       return;
     }
   }

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,19 +12,17 @@
 #include "spe/common/check.h"
 #include "spe/common/parallel.h"
 #include "spe/data/dataset.h"
-#include "spe/kernels/simd.h"
 #include "spe/obs/metrics.h"
 #include "spe/obs/trace.h"
 
-// The scalar walks below are hand-shaped for the out-of-order core:
+// The walks below are hand-shaped for the out-of-order core:
 // depth-outer/rows-inner loops of branch-free dependent chains that run
-// at load-port throughput. gcc's autovectorizer, handed -mavx2 by the
-// SPE_SIMD build, rewrites them into emulated-gather vector loops that
-// measure ~2x SLOWER (gathers on most x86 cores are one load uop per
-// lane plus setup — all cost, no width). Pin those functions to scalar
-// codegen so the SIMD build compiles them exactly like the default
-// build; vectorized descent happens only where it is written by hand
-// (WalkTreeSimd). Plain -O2/-O3 builds without vector ISAs are
+// at load-port throughput. gcc's autovectorizer, handed AVX2 by the
+// SPE_NATIVE build (-march=native), rewrites them into emulated-gather
+// vector loops that measure ~2x SLOWER (gathers on most x86 cores are
+// one load uop per lane plus setup — all cost, no width). Pin those
+// functions to scalar codegen so the native build compiles them exactly
+// like the default build. Plain -O2/-O3 builds without vector ISAs are
 // unaffected — the attribute just restates what they already do.
 #if defined(__GNUC__) && !defined(__clang__)
 #define SPE_NO_AUTOVEC \
@@ -67,89 +64,26 @@ double Sigmoid(double z) {
   return e / (1.0 + e);
 }
 
-// Float twin for the f32 mode: same branch structure, float arithmetic
-// throughout. Part of the documented f32 contract (docs/performance.md)
-// so the mode is reproducible across builds, not an accident of
-// whatever the optimizer picked.
-float Sigmoid(float z) {
-  if (z >= 0.0f) {
-    const float e = std::exp(-z);
-    return 1.0f / (1.0f + e);
-  }
-  const float e = std::exp(z);
-  return e / (1.0f + e);
+// SPE_FLAT_KERNEL=0|off|false disables the kernel at startup (same
+// grammar as SPE_OBS).
+bool FlatKernelDefault() {
+  const char* env = std::getenv("SPE_FLAT_KERNEL");
+  return env == nullptr ||
+         (std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
+          std::strcmp(env, "false") != 0);
 }
-
-bool EnvFlagOff(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  return std::strcmp(env, "0") == 0 || std::strcmp(env, "off") == 0 ||
-         std::strcmp(env, "false") == 0;
-}
-
-bool EnvFlagOn(const char* name) {
-  const char* env = std::getenv(name);
-  if (env == nullptr) return false;
-  return std::strcmp(env, "1") == 0 || std::strcmp(env, "on") == 0 ||
-         std::strcmp(env, "true") == 0;
-}
-
-bool FlatKernelDefault() { return !EnvFlagOff("SPE_FLAT_KERNEL"); }
 
 std::atomic<bool>& FlatKernelFlag() {
   static std::atomic<bool> enabled{FlatKernelDefault()};
   return enabled;
 }
 
-// Vectorized descent defaults on only where the backend's gathers pay
-// for themselves (see kGatherDescentProfitable in simd.h): NEON yes,
-// AVX2 no. SPE_SIMD=1 forces the gather walk on regardless — that is
-// how the conformance suite covers it on x86 — and SPE_SIMD=0 forces
-// it off everywhere.
-bool SimdDefault() {
-  if (EnvFlagOff("SPE_SIMD")) return false;
-  if (EnvFlagOn("SPE_SIMD")) return simd::kHasSimd;
-  return simd::kHasSimd && simd::kGatherDescentProfitable;
-}
-
-std::atomic<bool>& SimdFlag() {
-  static std::atomic<bool> enabled{SimdDefault()};
-  return enabled;
-}
-
-ScoreMode ScoreModeDefault() {
-  const char* env = std::getenv("SPE_KERNEL_MODE");
-  ScoreMode mode = ScoreMode::kF64;
-  if (env != nullptr) ParseScoreMode(env, &mode);  // unknown → default
-  return mode;
-}
-
-std::atomic<ScoreMode>& ScoreModeFlag() {
-  static std::atomic<ScoreMode> mode{ScoreModeDefault()};
-  return mode;
-}
-
-// The arrays one scoring representation walks and accumulates with.
-// Feat is the element type compared during descent (double, float, or
-// uint8 bin rank); Acc the type leaves are stored and summed in. The
-// integer topology is always the shared f64 pool's.
-template <typename Feat, typename Acc>
-struct Rep {
-  const std::int32_t* feature;
-  const Feat* threshold;
-  const std::int32_t* left;
-  const std::int32_t* right;
-  const Acc* value;
-  bool simd;  // vectorized descent (f64/f32 only; ignored for uint8)
-  // Implicit-children relayout for the f64 walk (null for the other
-  // representations); trees it covers skip the pooled descent.
-  const CompleteProgram* complete = nullptr;
-};
-
-// Advances `count` rows (x, row-major with `stride` Feat per row) from
-// the tree's root to their leaves, leaving leaf indices in `idx`. The
-// descent runs exactly tree.depth steps with no leaf test: leaves
-// self-loop (program.h), so a row that arrives early just stays put.
+// Advances `count` rows (x, row-major with `stride` doubles per row)
+// from the tree's root to their leaves in the pooled layout, leaving
+// leaf indices in `idx`. This is the fallback for trees the complete
+// relayout (program.h) does not cover. The descent runs exactly
+// tree.depth steps with no leaf test: leaves self-loop (program.h), so
+// a row that arrives early just stays put.
 //
 // The child select is deliberately arithmetic, not a ternary. A split
 // comparison is data-dependent and close to a coin flip, so a compare-
@@ -159,24 +93,21 @@ struct Rep {
 // pointless. Materializing the comparison with setcc and selecting via
 // mask keeps the loop branch-free; with no branches, the independent
 // per-row iterations overlap their node fetches and the walk runs at
-// load throughput instead of mispredict latency. For floating Feat,
-// NaN compares false (unordered comisd clears the setae result) and
-// takes the right edge — same routing as the reference PredictRow. For
-// uint8 Feat the same `!(v <= t)` is the bin-rank comparison, with the
-// NaN sentinel 255 > every cut rank (program.h).
-template <typename Feat>
-SPE_NO_AUTOVEC void WalkTreeScalar(const std::int32_t* feature,
-                                   const Feat* threshold,
-                                   const std::int32_t* left,
-                                   const std::int32_t* right,
-                                   const TreeRef tree, const Feat* x,
-                                   std::size_t stride, std::size_t count,
-                                   std::int32_t* idx) {
+// load throughput instead of mispredict latency. NaN compares false
+// (unordered comisd clears the setae result) and takes the right edge —
+// same routing as the reference PredictRow.
+SPE_NO_AUTOVEC void WalkTreeScalar(const NodePool& pool, const TreeRef tree,
+                                   const double* x, std::size_t stride,
+                                   std::size_t count, std::int32_t* idx) {
+  const std::int32_t* const feature = pool.feature.data();
+  const double* const threshold = pool.threshold.data();
+  const std::int32_t* const left = pool.left.data();
+  const std::int32_t* const right = pool.right.data();
   for (std::size_t r = 0; r < count; ++r) idx[r] = tree.root;
   for (std::int32_t d = 0; d < tree.depth; ++d) {
     for (std::size_t r = 0; r < count; ++r) {
       const auto n = static_cast<std::size_t>(idx[r]);
-      const Feat v = x[r * stride + static_cast<std::size_t>(feature[n])];
+      const double v = x[r * stride + static_cast<std::size_t>(feature[n])];
       const auto l = static_cast<std::uint32_t>(left[n]);
       const auto rt = static_cast<std::uint32_t>(right[n]);
       const auto go_right = static_cast<std::uint32_t>(!(v <= threshold[n]));
@@ -184,41 +115,6 @@ SPE_NO_AUTOVEC void WalkTreeScalar(const std::int32_t* feature,
     }
   }
 }
-
-#if defined(SPE_KERNELS_SIMD_AVX2) || defined(SPE_KERNELS_SIMD_NEON)
-// Vectorized twin of WalkTreeScalar: Lanes rows descend per register
-// group, gathers keyed by the per-lane node index, children selected by
-// the mask Descend builds from the IEEE `!(v <= t)` comparison (see
-// simd.h). Every lane computes exactly the scalar walk's comparisons
-// on exactly the scalar walk's values, so the stored leaf indices are
-// identical — the remainder rows simply run the scalar loop.
-template <typename Lanes, typename Feat>
-void WalkTreeSimd(const std::int32_t* feature, const Feat* threshold,
-                  const std::int32_t* left, const std::int32_t* right,
-                  const TreeRef tree, const Feat* x, std::size_t stride,
-                  std::size_t count, std::int32_t* idx) {
-  const std::size_t groups = count / Lanes::kLanes;
-  const auto row_off = Lanes::IotaTimes(static_cast<std::int32_t>(stride));
-  for (std::size_t g = 0; g < groups; ++g) {
-    const Feat* const xg = x + g * Lanes::kLanes * stride;
-    auto node = Lanes::BroadcastIndex(tree.root);
-    for (std::int32_t d = 0; d < tree.depth; ++d) {
-      const auto feat = Lanes::GatherIndex(feature, node);
-      const auto v = Lanes::GatherValue(xg, Lanes::AddIndex(row_off, feat));
-      const auto t = Lanes::GatherValue(threshold, node);
-      const auto l = Lanes::GatherIndex(left, node);
-      const auto r = Lanes::GatherIndex(right, node);
-      node = Lanes::Descend(l, r, v, t);
-    }
-    Lanes::StoreIndex(idx + g * Lanes::kLanes, node);
-  }
-  const std::size_t done = groups * Lanes::kLanes;
-  if (done < count) {
-    WalkTreeScalar(feature, threshold, left, right, tree, x + done * stride,
-                   stride, count - done, idx + done);
-  }
-}
-#endif
 
 // Descent over a complete-layout tree (program.h): children live at
 // 2c+1 / 2c+2, so one step is three loads (feature, threshold, row
@@ -316,101 +212,56 @@ SPE_NO_AUTOVEC void WalkTreeComplete(const CompleteProgram& cp,
   }
 }
 
-// Whether tree `t` of this representation descends through the complete
-// relayout. Only the f64 representation carries one — its thresholds
-// and bottom-slot values are doubles — so the other representations
-// resolve to false at compile time.
-template <typename Feat, typename Acc>
-bool CompleteWalkable(const Rep<Feat, Acc>& rep, std::size_t t) {
-  if constexpr (std::is_same_v<Feat, double>) {
-    return rep.complete != nullptr && rep.complete->trees[t].ok;
-  } else {
-    (void)rep;
-    (void)t;
-    return false;
-  }
-}
-
 // A member whose whole contribution is one complete-covered tree: its
 // leaf can accumulate straight into the caller's running vote sum
 // (`sum += leaf`, the exact reference expression) instead of round-
 // tripping through the per-member val array.
-template <typename Feat, typename Acc>
-bool AccumulableTree(const Rep<Feat, Acc>& rep, const MemberOp& op) {
+bool AccumulableTree(const CompleteProgram& complete, const MemberOp& op) {
   return op.kind == MemberOp::Kind::kTree &&
-         CompleteWalkable(rep, static_cast<std::size_t>(op.tree_begin));
-}
-
-template <typename Feat, typename Acc>
-void WalkTree(const Rep<Feat, Acc>& rep, const FlatProgram& program,
-              std::size_t t, const Feat* x, std::size_t stride,
-              std::size_t count, std::int32_t* idx) {
-  const TreeRef tree = program.trees[t];
-#if defined(SPE_KERNELS_SIMD_AVX2) || defined(SPE_KERNELS_SIMD_NEON)
-  if (rep.simd) {
-    if constexpr (std::is_same_v<Feat, double>) {
-      WalkTreeSimd<simd::F64Lanes>(rep.feature, rep.threshold, rep.left,
-                                   rep.right, tree, x, stride, count, idx);
-      return;
-    } else if constexpr (std::is_same_v<Feat, float>) {
-      WalkTreeSimd<simd::F32Lanes>(rep.feature, rep.threshold, rep.left,
-                                   rep.right, tree, x, stride, count, idx);
-      return;
-    }
-    // uint8 descent stays scalar: no byte gathers in either ISA.
-  }
-#endif
-  WalkTreeScalar(rep.feature, rep.threshold, rep.left, rep.right, tree, x,
-                 stride, count, idx);
+         complete.trees[static_cast<std::size_t>(op.tree_begin)].ok;
 }
 
 // One member's probability for each of `count` rows, into val[0..count).
 // Each kind replays the reference arithmetic of the model it was
-// lowered from, in the same order — in Acc precision. For Acc = double
-// (f64 and binned representations) that makes the bits match the
-// reference; for Acc = float it defines the f32 mode's arithmetic.
-template <typename Feat, typename Acc>
-void EvalMember(const FlatProgram& program, const Rep<Feat, Acc>& rep,
-                const MemberOp& op, const Feat* x, std::size_t stride,
-                std::size_t count, Acc* val) {
+// lowered from, in the same order, so the bits match the reference.
+// Trees the complete relayout covers take WalkTreeComplete; the rest
+// take the pooled WalkTreeScalar.
+void EvalMember(const FlatProgram& program, const CompleteProgram& complete,
+                const MemberOp& op, const double* x, std::size_t stride,
+                std::size_t count, double* val) {
   std::int32_t idx[kBlockRows];
+  const double* const value = program.pool.value.data();
   switch (op.kind) {
     case MemberOp::Kind::kTree: {
       // DecisionTree::PredictRow: the leaf value is the probability.
       const auto t = static_cast<std::size_t>(op.tree_begin);
-      if constexpr (std::is_same_v<Feat, double>) {
-        if (CompleteWalkable(rep, t)) {
-          WalkTreeComplete<EmitMode::kStore>(*rep.complete, t, x, stride,
-                                             count, 1.0, val);
-          break;
-        }
+      if (complete.trees[t].ok) {
+        WalkTreeComplete<EmitMode::kStore>(complete, t, x, stride, count, 1.0,
+                                           val);
+        break;
       }
-      WalkTree(rep, program, t, x, stride, count, idx);
+      WalkTreeScalar(program.pool, program.trees[t], x, stride, count, idx);
       for (std::size_t r = 0; r < count; ++r) {
-        val[r] = rep.value[static_cast<std::size_t>(idx[r])];
+        val[r] = value[static_cast<std::size_t>(idx[r])];
       }
       break;
     }
     case MemberOp::Kind::kBoostLogit: {
       // Gbdt::PredictRow: score = base; score += lr * leaf per tree in
       // order; sigmoid(score).
-      Acc score[kBlockRows];
-      const auto base = static_cast<Acc>(op.base_score);
-      const auto lr = static_cast<Acc>(op.learning_rate);
-      for (std::size_t r = 0; r < count; ++r) score[r] = base;
-      for (std::int32_t t = op.tree_begin; t < op.tree_end; ++t) {
-        if constexpr (std::is_same_v<Feat, double>) {
-          if (CompleteWalkable(rep, static_cast<std::size_t>(t))) {
-            WalkTreeComplete<EmitMode::kAxpy>(*rep.complete,
-                                              static_cast<std::size_t>(t), x,
-                                              stride, count, lr, score);
-            continue;
-          }
+      double score[kBlockRows];
+      const double lr = op.learning_rate;
+      for (std::size_t r = 0; r < count; ++r) score[r] = op.base_score;
+      for (std::int32_t i = op.tree_begin; i < op.tree_end; ++i) {
+        const auto t = static_cast<std::size_t>(i);
+        if (complete.trees[t].ok) {
+          WalkTreeComplete<EmitMode::kAxpy>(complete, t, x, stride, count, lr,
+                                            score);
+          continue;
         }
-        WalkTree(rep, program, static_cast<std::size_t>(t), x, stride, count,
-                 idx);
+        WalkTreeScalar(program.pool, program.trees[t], x, stride, count, idx);
         for (std::size_t r = 0; r < count; ++r) {
-          score[r] += lr * rep.value[static_cast<std::size_t>(idx[r])];
+          score[r] += lr * value[static_cast<std::size_t>(idx[r])];
         }
       }
       for (std::size_t r = 0; r < count; ++r) val[r] = Sigmoid(score[r]);
@@ -420,63 +271,56 @@ void EvalMember(const FlatProgram& program, const Rep<Feat, Acc>& rep,
       // Nested VotingEnsemble: children accumulate in index order, then
       // one multiply by 1/n — the same reduction PredictProbaPrefix
       // performs over all members.
-      Acc child[kBlockRows];
-      for (std::size_t r = 0; r < count; ++r) val[r] = Acc(0);
+      double child[kBlockRows];
+      for (std::size_t r = 0; r < count; ++r) val[r] = 0.0;
       for (const MemberOp& c : op.children) {
-        if constexpr (std::is_same_v<Feat, double>) {
-          if (AccumulableTree(rep, c)) {
-            WalkTreeComplete<EmitMode::kAccum>(
-                *rep.complete, static_cast<std::size_t>(c.tree_begin), x,
-                stride, count, 1.0, val);
-            continue;
-          }
+        if (AccumulableTree(complete, c)) {
+          WalkTreeComplete<EmitMode::kAccum>(
+              complete, static_cast<std::size_t>(c.tree_begin), x, stride,
+              count, 1.0, val);
+          continue;
         }
-        EvalMember(program, rep, c, x, stride, count, child);
+        EvalMember(program, complete, c, x, stride, count, child);
         for (std::size_t r = 0; r < count; ++r) val[r] += child[r];
       }
-      const Acc inv = Acc(1) / static_cast<Acc>(op.children.size());
+      const double inv = 1.0 / static_cast<double>(op.children.size());
       for (std::size_t r = 0; r < count; ++r) val[r] *= inv;
       break;
     }
   }
 }
 
-// Blocked driver shared by the three representations. `prep` maps a
-// block (first row, row count) to this representation's row-major
-// feature block and its stride — a pointer straight into the dataset
-// for f64, a per-thread converted buffer for f32/binned. Blocks write
-// disjoint output ranges from identical per-row arithmetic, so
-// chunking cannot change the result: every path is bit-identical for
-// any SPE_THREADS.
-template <typename Feat, typename Acc, typename Prep>
-void ScoreBlocks(const FlatProgram& program, const Rep<Feat, Acc>& rep,
+// Blocked scoring loop. `feed` maps a block (first row, row count) to its
+// row-major feature block and stride — a pointer straight into the
+// dataset for row-major views, a per-thread staged copy for columnar
+// ones. Blocks write disjoint output ranges from identical per-row
+// arithmetic, so chunking cannot change the result: scoring is
+// bit-identical for any SPE_THREADS.
+template <typename Feed>
+void ScoreBlocks(const FlatProgram& program, const CompleteProgram& complete,
                  std::size_t rows, std::size_t n, std::span<double> out,
-                 Prep prep) {
-  const Acc inv = Acc(1) / static_cast<Acc>(n);
+                 Feed feed) {
+  const double inv = 1.0 / static_cast<double>(n);
   const std::size_t num_blocks = (rows + kBlockRows - 1) / kBlockRows;
   ParallelForGrain(0, num_blocks, kBlockGrain, [&](std::size_t b) {
     const std::size_t base = b * kBlockRows;
     const std::size_t count = std::min(kBlockRows, rows - base);
-    const auto [x, stride] = prep(base, count);
-    Acc sum[kBlockRows];
-    Acc val[kBlockRows];
-    for (std::size_t r = 0; r < count; ++r) sum[r] = Acc(0);
+    const auto [x, stride] = feed(base, count);
+    double sum[kBlockRows];
+    double val[kBlockRows];
+    for (std::size_t r = 0; r < count; ++r) sum[r] = 0.0;
     for (std::size_t m = 0; m < n; ++m) {
       const MemberOp& op = program.members[m];
-      if constexpr (std::is_same_v<Feat, double>) {
-        if (AccumulableTree(rep, op)) {
-          WalkTreeComplete<EmitMode::kAccum>(
-              *rep.complete, static_cast<std::size_t>(op.tree_begin), x,
-              stride, count, 1.0, sum);
-          continue;
-        }
+      if (AccumulableTree(complete, op)) {
+        WalkTreeComplete<EmitMode::kAccum>(
+            complete, static_cast<std::size_t>(op.tree_begin), x, stride,
+            count, 1.0, sum);
+        continue;
       }
-      EvalMember(program, rep, op, x, stride, count, val);
+      EvalMember(program, complete, op, x, stride, count, val);
       for (std::size_t r = 0; r < count; ++r) sum[r] += val[r];
     }
-    for (std::size_t r = 0; r < count; ++r) {
-      out[base + r] = static_cast<double>(sum[r] * inv);
-    }
+    for (std::size_t r = 0; r < count; ++r) out[base + r] = sum[r] * inv;
   });
 }
 
@@ -490,48 +334,16 @@ void SetFlatKernelEnabled(bool enabled) {
   FlatKernelFlag().store(enabled, std::memory_order_relaxed);
 }
 
-ScoreMode ActiveScoreMode() {
-  return ScoreModeFlag().load(std::memory_order_relaxed);
+// Read here, in the kernel TU, because SPE_NATIVE flags only this file.
+const char* SimdIsa() {
+#if defined(__AVX2__)
+  return "avx2";
+#elif defined(__ARM_NEON) || defined(__ARM_NEON__)
+  return "neon";
+#else
+  return "scalar";
+#endif
 }
-
-void SetScoreMode(ScoreMode mode) {
-  ScoreModeFlag().store(mode, std::memory_order_relaxed);
-}
-
-const char* ScoreModeName(ScoreMode mode) {
-  switch (mode) {
-    case ScoreMode::kF32:
-      return "f32";
-    case ScoreMode::kBinned:
-      return "binned";
-    case ScoreMode::kF64:
-      break;
-  }
-  return "f64";
-}
-
-bool ParseScoreMode(std::string_view name, ScoreMode* out) {
-  if (name == "f64") {
-    *out = ScoreMode::kF64;
-  } else if (name == "f32") {
-    *out = ScoreMode::kF32;
-  } else if (name == "binned") {
-    *out = ScoreMode::kBinned;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-bool SimdEnabled() {
-  return simd::kHasSimd && SimdFlag().load(std::memory_order_relaxed);
-}
-
-void SetSimdEnabled(bool enabled) {
-  SimdFlag().store(enabled && simd::kHasSimd, std::memory_order_relaxed);
-}
-
-const char* SimdIsa() { return simd::kIsa; }
 
 namespace {
 
@@ -584,33 +396,14 @@ std::unique_ptr<const FlatForest> FlatForest::CompileMember(
   return forest;
 }
 
-const F32Program& FlatForest::F32() const {
-  std::call_once(f32_once_, [this] { f32_ = BuildF32Program(program_); });
-  return f32_;
-}
-
-const BinnedProgram& FlatForest::Binned() const {
-  std::call_once(binned_once_,
-                 [this] { binned_ = BuildBinnedProgram(program_); });
-  return binned_;
-}
-
 const CompleteProgram& FlatForest::Complete() const {
   std::call_once(complete_once_,
                  [this] { complete_ = BuildCompleteProgram(program_); });
   return complete_;
 }
 
-bool FlatForest::BinnedAvailable() const { return Binned().ok; }
-
 void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
                                    std::span<double> out) const {
-  PredictPrefixInto(data, k, out, ActiveScoreMode());
-}
-
-void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
-                                   std::span<double> out,
-                                   ScoreMode mode) const {
   SPE_CHECK_GT(k, 0u);
   SPE_CHECK_EQ(out.size(), data.num_rows());
   data.CheckAlive();
@@ -619,142 +412,48 @@ void FlatForest::PredictPrefixInto(const DatasetView& data, std::size_t k,
   const std::size_t n = std::min(k, program_.members.size());
   const obs::TraceSpan span("kernels.flat_predict");
   const std::size_t stride = data.num_features();
-  // Row-major views walk in place; columnar views stage each ~64-row
-  // block into per-thread scratch below. `x` is null in the latter case
-  // and must not be dereferenced outside a feeder.
+  // Row-major views walk in place. Columnar views stage each block
+  // row-major into per-thread scratch, reading each value straight from
+  // its column: the column pointers are resolved once per call and the
+  // parent row index once per row (per-element DatasetView::At
+  // re-resolves both and measured 2-4x slower). `x` is null for columnar
+  // views and must not be dereferenced outside the feed.
   const double* const x = data.row_major() ? data.rows_data() : nullptr;
-  const bool use_simd = SimdEnabled();
-
-  if (mode == ScoreMode::kBinned && !BinnedAvailable()) mode = ScoreMode::kF64;
-
-  switch (mode) {
-    case ScoreMode::kF32: {
-      const F32Program& f32 = F32();
-      const Rep<float, float> rep{program_.pool.feature.data(),
-                                  f32.threshold.data(),
-                                  program_.pool.left.data(),
-                                  program_.pool.right.data(),
-                                  f32.value.data(),
-                                  use_simd};
-      // One float conversion of the block, amortized over every tree
-      // that walks it. thread_local so pool workers reuse the buffer
-      // across blocks instead of allocating per block.
-      ScoreBlocks(program_, rep, rows, n, out,
-                  [&](std::size_t base, std::size_t count) {
-                    thread_local std::vector<float> buf;
-                    buf.resize(count * stride);
-                    if (x != nullptr) {
-                      const double* src = x + base * stride;
-                      for (std::size_t i = 0; i < count * stride; ++i) {
-                        buf[i] = static_cast<float>(src[i]);
-                      }
-                    } else {
-                      for (std::size_t r = 0; r < count; ++r) {
-                        for (std::size_t j = 0; j < stride; ++j) {
-                          buf[r * stride + j] =
-                              static_cast<float>(data.At(base + r, j));
-                        }
-                      }
-                    }
-                    return std::pair<const float*, std::size_t>{buf.data(),
-                                                                stride};
-                  });
-      break;
-    }
-    case ScoreMode::kBinned: {
-      const BinnedProgram& binned = Binned();
-      const Rep<std::uint8_t, double> rep{program_.pool.feature.data(),
-                                          binned.cut.data(),
-                                          program_.pool.left.data(),
-                                          program_.pool.right.data(),
-                                          program_.pool.value.data(),
-                                          /*simd=*/false};
-      // Bin only the features the program can split on — the binner is
-      // sized to the highest split feature, which may be narrower than
-      // the dataset. NaN takes the sentinel (BinOf cannot: every
-      // comparison with NaN is false, which would rank it bin 0 — the
-      // left edge — while the reference routes NaN right).
-      const std::size_t width = binned.binner.num_features();
-      ScoreBlocks(program_, rep, rows, n, out,
-                  [&](std::size_t base, std::size_t count) {
-                    thread_local std::vector<std::uint8_t> buf;
-                    buf.resize(count * width);
-                    for (std::size_t r = 0; r < count; ++r) {
-                      for (std::size_t f = 0; f < width; ++f) {
-                        const double v = x != nullptr
-                                             ? x[(base + r) * stride + f]
-                                             : data.At(base + r, f);
-                        buf[r * width + f] =
-                            std::isnan(v) ? kBinnedNaN
-                                          : binned.binner.BinOf(f, v);
-                      }
-                    }
-                    return std::pair<const std::uint8_t*, std::size_t>{
-                        buf.data(), width};
-                  });
-      break;
-    }
-    case ScoreMode::kF64: {
-      // Columnar views read each value straight from its column, with
-      // the column pointers resolved once per call and the parent row
-      // index once per row. Per-element DatasetView::At re-resolves
-      // both; staging through it measured 2-4x slower.
-      std::vector<const double*> columns;
-      if (x == nullptr) {
-        columns.resize(stride);
-        for (std::size_t j = 0; j < stride; ++j) {
-          columns[j] = data.parent()->Column(j).data();
-        }
-      }
-      const CompleteProgram& complete = Complete();
-      const Rep<double, double> rep{program_.pool.feature.data(),
-                                    program_.pool.threshold.data(),
-                                    program_.pool.left.data(),
-                                    program_.pool.right.data(),
-                                    program_.pool.value.data(),
-                                    use_simd,
-                                    complete.any ? &complete : nullptr};
-      ScoreBlocks(program_, rep, rows, n, out,
-                  [&](std::size_t base, std::size_t count) {
-                    if (x != nullptr) {
-                      return std::pair<const double*, std::size_t>{
-                          x + base * stride, stride};
-                    }
-                    // Columnar feed: stage the block row-major in reused
-                    // per-thread scratch. A verbatim value copy, so the
-                    // descent reads identical bits to the direct path.
-                    thread_local std::vector<double> buf;
-                    buf.resize(count * stride);
-                    for (std::size_t r = 0; r < count; ++r) {
-                      const std::size_t row = data.RowIndex(base + r);
-                      double* const dst = buf.data() + r * stride;
-                      for (std::size_t j = 0; j < stride; ++j) {
-                        dst[j] = columns[j][row];
-                      }
-                    }
-                    AddScratchBytes(count * stride * sizeof(double));
-                    return std::pair<const double*, std::size_t>{buf.data(),
-                                                                 stride};
-                  });
-      break;
+  std::vector<const double*> columns;
+  if (x == nullptr) {
+    columns.resize(stride);
+    for (std::size_t j = 0; j < stride; ++j) {
+      columns[j] = data.parent()->Column(j).data();
     }
   }
+  ScoreBlocks(program_, Complete(), rows, n, out,
+              [&](std::size_t base, std::size_t count) {
+                if (x != nullptr) {
+                  return std::pair<const double*, std::size_t>{
+                      x + base * stride, stride};
+                }
+                // Columnar feed: stage the block row-major in reused
+                // per-thread scratch. A verbatim value copy, so the
+                // descent reads identical bits to the direct path.
+                thread_local std::vector<double> buf;
+                buf.resize(count * stride);
+                for (std::size_t r = 0; r < count; ++r) {
+                  const std::size_t row = data.RowIndex(base + r);
+                  double* const dst = buf.data() + r * stride;
+                  for (std::size_t j = 0; j < stride; ++j) {
+                    dst[j] = columns[j][row];
+                  }
+                }
+                AddScratchBytes(count * stride * sizeof(double));
+                return std::pair<const double*, std::size_t>{buf.data(),
+                                                             stride};
+              });
 }
 
 const char* ActiveKernel(const Classifier& model) {
   const auto* scorable = dynamic_cast<const FlatScorable*>(&model);
-  const FlatForest* forest =
-      scorable != nullptr ? scorable->flat_kernel() : nullptr;
-  if (forest == nullptr) return "reference";
-  switch (ActiveScoreMode()) {
-    case ScoreMode::kF32:
-      return "flat_f32";
-    case ScoreMode::kBinned:
-      return forest->BinnedAvailable() ? "flat_binned" : "flat";
-    case ScoreMode::kF64:
-      break;
-  }
-  return "flat";
+  const bool flat = scorable != nullptr && scorable->flat_kernel() != nullptr;
+  return flat ? "flat" : "reference";
 }
 
 }  // namespace kernels

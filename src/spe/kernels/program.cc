@@ -1,7 +1,6 @@
 #include "spe/kernels/program.h"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "spe/common/check.h"
@@ -55,18 +54,6 @@ std::int32_t FlatTreeBuilder::Finish() {
   return index;
 }
 
-F32Program BuildF32Program(const FlatProgram& program) {
-  const NodePool& pool = program.pool;
-  F32Program out;
-  out.threshold.reserve(pool.size());
-  out.value.reserve(pool.size());
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    out.threshold.push_back(static_cast<float>(pool.threshold[i]));
-    out.value.push_back(static_cast<float>(pool.value[i]));
-  }
-  return out;
-}
-
 namespace {
 
 // Self-looping leaves (program.h) are the only nodes whose children
@@ -75,53 +62,6 @@ bool IsLeaf(const NodePool& pool, std::size_t i) {
   const auto self = static_cast<std::int32_t>(i);
   return pool.left[i] == self && pool.right[i] == self;
 }
-
-}  // namespace
-
-BinnedProgram BuildBinnedProgram(const FlatProgram& program) {
-  const NodePool& pool = program.pool;
-  BinnedProgram out;
-
-  std::int32_t max_feature = -1;
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (IsLeaf(pool, i)) continue;
-    // A NaN threshold has no rank in the feature's order (every
-    // comparison with it is false), so such a program cannot lower.
-    // Tree learners never record one; this guards hand-built programs.
-    if (std::isnan(pool.threshold[i])) return out;
-    max_feature = std::max(max_feature, pool.feature[i]);
-  }
-
-  std::vector<std::vector<double>> cuts(
-      static_cast<std::size_t>(max_feature + 1));
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (IsLeaf(pool, i)) continue;
-    cuts[static_cast<std::size_t>(pool.feature[i])].push_back(
-        pool.threshold[i]);
-  }
-  for (std::vector<double>& c : cuts) {
-    std::sort(c.begin(), c.end());
-    c.erase(std::unique(c.begin(), c.end()), c.end());
-    if (c.size() > kBinnedMaxCuts) return out;  // bins would reach the sentinel
-  }
-
-  out.cut.assign(pool.size(), 0);
-  for (std::size_t i = 0; i < pool.size(); ++i) {
-    if (IsLeaf(pool, i)) continue;
-    const std::vector<double>& c =
-        cuts[static_cast<std::size_t>(pool.feature[i])];
-    const auto it = std::lower_bound(c.begin(), c.end(), pool.threshold[i]);
-    // The cut list was built from exactly these thresholds, so the
-    // lookup is an exact hit and the rank fits uint8 (<= 253).
-    SPE_CHECK(it != c.end() && *it == pool.threshold[i]);
-    out.cut[i] = static_cast<std::uint8_t>(it - c.begin());
-  }
-  out.binner = gbdt::FeatureBinner::FromBoundaries(std::move(cuts));
-  out.ok = true;
-  return out;
-}
-
-namespace {
 
 // Real node count of the tree rooted at `node` — leaves count once
 // (they self-loop, so recursion must not follow their edges).
@@ -192,7 +132,6 @@ CompleteProgram BuildCompleteProgram(const FlatProgram& program) {
                  out.threshold.data() + tree.node_base,
                  out.value.data() + tree.leaf_base);
     tree.ok = true;
-    out.any = true;
   }
   return out;
 }

@@ -26,7 +26,7 @@ struct VersionManifest {
   std::size_t num_features = 0;
   std::size_t payload_bytes = 0;  ///< 0 when the artifact carried none
   std::string crc32_hex;          ///< "" when the artifact carried none
-  std::string kernel;  ///< "flat" / "flat_f32" / "flat_binned" / "reference"
+  std::string kernel;  ///< "flat" / "reference"
   bool has_hardness_histogram = false;
   std::string model_name;  ///< Classifier::Name() of the loaded model
 };
@@ -54,9 +54,8 @@ class ModelVersion {
   const VersionManifest& manifest() const { return manifest_; }
   std::uint64_t version() const { return manifest_.version; }
   std::size_t num_features() const { return manifest_.num_features; }
-  /// "flat" / "flat_f32" / "flat_binned" / "reference" — resolved once
-  /// at construction, under the scoring mode active at load time (serve
-  /// sets --kernel-mode before the registry loads).
+  /// "flat" / "reference" — resolved once at construction, when the
+  /// flat program is compiled.
   const char* kernel() const { return kernel_; }
   /// Non-null iff the artifact carried a training hardness histogram.
   HardnessDriftDetector* drift() const { return drift_.get(); }

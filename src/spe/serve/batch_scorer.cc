@@ -8,7 +8,6 @@
 #include "spe/common/check.h"
 #include "spe/common/fault.h"
 #include "spe/common/parallel.h"
-#include "spe/kernels/flat_forest.h"
 #include "spe/obs/trace.h"
 
 namespace spe {
@@ -82,15 +81,6 @@ BatchScorer::BatchScorer(std::shared_ptr<lifecycle::ModelRegistry> registry,
         out += "\n# TYPE spe_serve_kernel_flat gauge\nspe_serve_kernel_flat ";
         const auto active = registry_->active();
         out += active != nullptr && active->kernel()[0] == 'f' ? "1\n" : "0\n";
-        // Which representation is actually serving ("flat", "flat_f32",
-        // "flat_binned" or "reference") plus the descent ISA — the
-        // label an operator checks after flipping --kernel-mode.
-        out += "# TYPE spe_serve_kernel_info gauge\nspe_serve_kernel_info{";
-        out += "kernel=\"";
-        out += active != nullptr ? active->kernel() : "reference";
-        out += "\",simd=\"";
-        out += kernels::SimdEnabled() ? kernels::SimdIsa() : "scalar";
-        out += "\"} 1\n";
       });
 }
 

@@ -124,8 +124,10 @@ std::string DecodeScorePayload(const FrameHeader& h,
       features[i] = static_cast<double>(ReadF32(p + 4 * i));
     }
   } else if constexpr (kLittle) {
-    // The zero-parse hot path: wire layout == scoring layout.
-    std::memcpy(features.data(), p, remaining);
+    // The zero-parse hot path: wire layout == scoring layout. An id-only
+    // frame leaves `features` empty, and a memcpy into its null data()
+    // is undefined even for zero bytes.
+    if (remaining != 0) std::memcpy(features.data(), p, remaining);
   } else {
     for (std::size_t i = 0; i < count; ++i) features[i] = ReadF64(p + 8 * i);
   }

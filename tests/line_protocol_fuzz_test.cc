@@ -330,6 +330,30 @@ TEST(WireFuzzTest, ScoreRequestRoundTripsExactly) {
   }
 }
 
+// An id-only score frame (payload_len 8) carries zero features. Decoded
+// into a fresh vector — whose data() is null — it must yield an empty
+// row with no undefined behaviour (run under UBSan via the sanitize
+// label).
+TEST(WireFuzzTest, IdOnlyFrameDecodesToZeroFeatures) {
+  std::string frame;
+  wire::AppendHeader(frame, wire::FrameType::kScore, 0, 8);
+  const std::uint64_t id = 41;
+  for (int i = 0; i < 8; ++i) frame.push_back(static_cast<char>(id >> (8 * i)));
+  const auto* bytes = reinterpret_cast<const unsigned char*>(frame.data());
+  const wire::FrameHeader header = wire::DecodeHeader(bytes);
+  ASSERT_EQ(header.payload_len, 8u);
+  ASSERT_EQ(wire::ValidateRequestHeader(header), "");
+  wire::ScoreFrame decoded;
+  std::vector<double> out;
+  ASSERT_EQ(out.data(), nullptr);
+  EXPECT_EQ(wire::DecodeScorePayload(header, bytes + wire::kHeaderBytes,
+                                     decoded, out),
+            "");
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(decoded.id, id);
+  EXPECT_EQ(decoded.deadline_ms, -1.0);
+}
+
 TEST(WireFuzzTest, NonFiniteAndMisalignedBinaryPayloadsAreRefused) {
   // NaN feature: same taxonomy line as the text protocol.
   const double bad[] = {1.0, std::nan("")};

@@ -26,7 +26,6 @@
 #include "spe/core/self_paced_ensemble.h"
 #include "spe/core/self_paced_sampler.h"
 #include "spe/data/synthetic.h"
-#include "spe/kernels/flat_forest.h"
 #include "spe/metrics/metrics.h"
 #include "spe/obs/metrics.h"
 
@@ -210,59 +209,6 @@ TEST(PaperRegressionTest, CheckerboardTable2CellMatchesGolden) {
                         .value();
     }
     EXPECT_GT(population, 0.0);
-  }
-}
-
-// ---------------------------------------------------------------------
-// Kernel v2 parity contract: the opt-in f32 scoring mode must reproduce
-// the Table 2 checkerboard cell to golden precision. The conformance
-// suite bounds per-row probability drift; this pins the *reported paper
-// numbers*, failing loudly if the f32 kernel ever drifts enough to move
-// a 0.5-threshold decision or materially reshape the PR curve. The
-// threshold metrics (F1/G-mean/MCC) are exactly stable under float
-// narrowing on this geometry — no score sits near 0.5 — so they get
-// 1e-6. AUCPRC gets 5e-5: SPE's vote-averaged scores form discrete,
-// heavily tied levels, and float accumulation can merge or reorder
-// near-tied rows, shifting the PR interpolation by O(1e-5) without any
-// row changing side of the threshold. Both bounds are still two orders
-// of magnitude below the golden tolerance (5e-3).
-
-TEST(PaperRegressionTest, CheckerboardTable2F32KernelParity) {
-  CheckerboardConfig train_config;  // same cell as the golden test above
-  train_config.covariance = 0.05;
-  CheckerboardConfig test_config = train_config;
-  Rng rng(42);
-  const Dataset train = MakeCheckerboard(train_config, rng);
-  const Dataset test = MakeCheckerboard(test_config, rng);
-
-  SelfPacedEnsembleConfig config;
-  config.n_estimators = 10;
-  config.seed = 42;
-  SelfPacedEnsemble model(config,
-                          std::make_unique<DecisionTree>(DecisionTreeConfig{}));
-  model.Fit(train);
-
-  const ScoreSummary f64_scores =
-      Evaluate(test.labels(), model.PredictProba(test));
-
-  kernels::SetScoreMode(kernels::ScoreMode::kF32);
-  const ScoreSummary f32_scores =
-      Evaluate(test.labels(), model.PredictProba(test));
-  kernels::SetScoreMode(kernels::ScoreMode::kF64);
-
-  EXPECT_NEAR(f32_scores.aucprc, f64_scores.aucprc, 5e-5);
-  EXPECT_NEAR(f32_scores.f1, f64_scores.f1, 1e-6);
-  EXPECT_NEAR(f32_scores.gmean, f64_scores.gmean, 1e-6);
-  EXPECT_NEAR(f32_scores.mcc, f64_scores.mcc, 1e-6);
-
-  // And against the stored goldens themselves, at the golden tolerance:
-  // the f32 numbers are the f64 numbers for Table 2 purposes.
-  if (!UpdateMode()) {
-    const GoldenMap golden = LoadGolden("checkerboard_table2.golden");
-    EXPECT_NEAR(f32_scores.aucprc, golden.at("aucprc"), 5e-3);
-    EXPECT_NEAR(f32_scores.f1, golden.at("f1"), 5e-3);
-    EXPECT_NEAR(f32_scores.gmean, golden.at("gmean"), 5e-3);
-    EXPECT_NEAR(f32_scores.mcc, golden.at("mcc"), 5e-3);
   }
 }
 

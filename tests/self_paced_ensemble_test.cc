@@ -393,15 +393,14 @@ INSTANTIATE_TEST_SUITE_P(Schedules, SpeScheduleTest,
 // Training scores each member once, through its compiled f64 program
 // when it lowers and through PredictProba otherwise, and freezes the
 // drift baseline from its own vote accumulator. None of that may show:
-// the kernel switch and the process-wide scoring mode change speed
-// only, a halted-and-resumed run rebuilds the same accumulators, and
-// the baseline equals the hardness bins of the served vote.
+// the kernel switch changes speed only, a halted-and-resumed run
+// rebuilds the same accumulators, and the baseline equals the hardness
+// bins of the served vote.
 class SpeTrainingScorerTest
     : public ::testing::TestWithParam<std::tuple<std::string, bool>> {
  protected:
   void TearDown() override {
     kernels::SetFlatKernelEnabled(true);
-    kernels::SetScoreMode(kernels::ScoreMode::kF64);
   }
 
   struct Trained {
@@ -447,7 +446,7 @@ void ExpectSameHistogram(const HardnessHistogram& a, const HardnessHistogram& b,
   EXPECT_EQ(a.counts, b.counts) << what;
 }
 
-TEST_P(SpeTrainingScorerTest, KernelSwitchAndScoreModeDoNotReachTraining) {
+TEST_P(SpeTrainingScorerTest, KernelSwitchDoesNotReachTraining) {
   const Dataset train = OverlappingBlobs(3000, 150, 31);
   const Trained truth = FitOnce(train);
 
@@ -456,16 +455,6 @@ TEST_P(SpeTrainingScorerTest, KernelSwitchAndScoreModeDoNotReachTraining) {
   kernels::SetFlatKernelEnabled(true);
   EXPECT_EQ(reference.bundle, truth.bundle) << "kernel off";
   ExpectSameHistogram(reference.hardness, truth.hardness, "kernel off");
-
-  for (const kernels::ScoreMode mode :
-       {kernels::ScoreMode::kF32, kernels::ScoreMode::kBinned}) {
-    kernels::SetScoreMode(mode);
-    const Trained moded = FitOnce(train);
-    kernels::SetScoreMode(kernels::ScoreMode::kF64);
-    EXPECT_EQ(moded.bundle, truth.bundle) << kernels::ScoreModeName(mode);
-    ExpectSameHistogram(moded.hardness, truth.hardness,
-                        kernels::ScoreModeName(mode));
-  }
 }
 
 TEST_P(SpeTrainingScorerTest, BaselineEqualsBinsOfTheServedVote) {

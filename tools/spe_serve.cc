@@ -8,7 +8,6 @@
 //             [--stats-interval-ms MS] [--metrics-dump FILE]
 //             [--shadow FILE] [--shadow-sample N]
 //             [--drift-threshold PSI] [--drift-min-count N]
-//             [--kernel-mode f64|f32|binned]
 //
 // Speaks the newline-delimited CSV/JSON protocol of spe/serve/
 // line_protocol.h and the length-prefixed binary frame protocol of
@@ -61,6 +60,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -74,7 +74,6 @@
 #include "spe/common/exit_codes.h"
 #include "spe/common/parse.h"
 #include "spe/io/model_io.h"
-#include "spe/kernels/flat_forest.h"
 #include "spe/lifecycle/model_registry.h"
 #include "spe/obs/metrics.h"
 #include "spe/serve/batch_scorer.h"
@@ -129,14 +128,6 @@ namespace {
       "                        drift alerts (default 0.25)\n"
       "  --drift-min-count N   live rows required before a drift verdict\n"
       "                        (default 512)\n"
-      "  --kernel-mode M       flat-kernel scoring representation: f64\n"
-      "                        (default, bit-identical), f32 (float\n"
-      "                        scoring, AUC-parity — stamped flat_f32 in\n"
-      "                        !stats), or binned (uint8 quantized,\n"
-      "                        bit-identical; falls back to f64 when the\n"
-      "                        model cannot lower). Ignored when\n"
-      "                        SPE_FLAT_KERNEL=0 disables the kernel\n"
-      "                        (docs/performance.md)\n"
       "protocol: one request per line — CSV features (`0.2,1.5`) or JSON\n"
       "(`{\"id\":1,\"features\":[0.2,1.5],\"deadline_ms\":50}`); `STATS`\n"
       "returns a one-line stats snapshot; `!stats` returns the metrics\n"
@@ -641,11 +632,20 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
   std::thread(SignalWaitLoop).detach();
 
+  // Every flag this binary reads; anything else is a usage error rather
+  // than a silently ignored typo or a knob this build no longer has.
+  static const std::set<std::string> kKnownFlags = {
+      "model", "stdio", "port", "host", "num-features", "max-batch",
+      "max-delay-us", "workers", "queue-capacity", "overflow",
+      "default-deadline-ms", "degrade-high", "degrade-low", "degrade-prefix",
+      "max-connections", "stats-interval-ms", "metrics-dump", "shadow",
+      "shadow-sample", "drift-threshold", "drift-min-count"};
   std::map<std::string, std::string> flags;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) Usage(("unexpected argument: " + arg).c_str());
     const std::string key = arg.substr(2);
+    if (kKnownFlags.count(key) == 0) Usage(("unknown flag " + arg).c_str());
     std::string value = "1";
     if (key != "stdio") {
       if (i + 1 >= argc) Usage(("missing value for --" + key).c_str());
@@ -722,18 +722,6 @@ int main(int argc, char** argv) {
       GetIntFlag(flags, "num-features", 0, 1, 1 << 24);
   const std::size_t fallback_width =
       num_features_flag > 0 ? static_cast<std::size_t>(num_features_flag) : 0;
-
-  // Mode before load: ModelVersion resolves its kernel label (what
-  // !stats and reload logs report) once at load time, so the scoring
-  // representation must be active when the registry compiles the model.
-  const std::string kernel_mode = get("kernel-mode", "f64");
-  {
-    spe::kernels::ScoreMode mode;
-    if (!spe::kernels::ParseScoreMode(kernel_mode, &mode)) {
-      Usage("--kernel-mode must be f64, f32 or binned");
-    }
-    spe::kernels::SetScoreMode(mode);
-  }
 
   auto registry = std::make_shared<spe::lifecycle::ModelRegistry>(drift);
   {
