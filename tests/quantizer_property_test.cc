@@ -1,23 +1,20 @@
-// Property tests for the quantizer under the binned inference kernel:
-// gbdt::FeatureBinner's rank semantics and the BinnedProgram lowering
-// (spe/kernels/program.h) that rides on them.
+// Property tests for the quantizer: the rank semantics of
+// gbdt::FeatureBinner's fitted cuts, which the tree learner relies on
+// when it records UpperEdge(b) as a raw split threshold.
 //
 // The load-bearing lemma, fuzzed here over random distributions and
 // pinned on every edge the IEEE order has:
 //
-//     v <= cuts[c]   ⟺   BinOf(v) <= c
+//     v <= UpperEdge(c)   ⟺   BinOf(v) <= c
 //
-// for every double v (±Inf included, boundary values exactly on a cut
-// included) and every cut rank c. This is what makes the uint8 descent
-// byte-identical to the double comparison — if it ever broke for one
-// representable value, the binned kernel would route that row down the
-// wrong subtree. NaN is the deliberate exception: BinOf cannot rank it
-// (every comparison is false, so lower_bound leaves it in bin 0 — the
-// LEFT edge), while tree descent must send it RIGHT; the kernel
-// therefore bins NaN as the 255 sentinel, which this file pins too.
+// for every double v (±Inf and values one ulp either side of a cut
+// included) and every cut rank c. If it broke for one representable
+// value, a split learned on bins would route that row differently at
+// inference, where the threshold is compared against the raw double.
+// NaN is the exception: every comparison with it is false, so it lands
+// in bin 0.
 
 #include <cmath>
-#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -26,13 +23,37 @@
 #include "spe/classifiers/gbdt/binning.h"
 #include "spe/common/rng.h"
 #include "spe/data/dataset.h"
-#include "spe/kernels/program.h"
 
 namespace spe {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-const double kNaN = std::numeric_limits<double>::quiet_NaN();
+
+// A binner fitted on three hostile feature shapes: continuous, heavy
+// ties (categorical-ish), and mixed sign over nine decades.
+gbdt::FeatureBinner FitHostileBinner(Rng& rng, std::size_t rows) {
+  Dataset data(3);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const std::vector<double> row = {
+        rng.Gaussian(0.0, 2.0),
+        static_cast<double>(static_cast<int>(rng.Uniform(0.0, 6.0))),
+        rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.Uniform(-3.0, 6.0))};
+    data.AddRow(row, i % 2 == 0 ? 0 : 1);
+  }
+  gbdt::FeatureBinner binner;
+  binner.Fit(data, 32);
+  return binner;
+}
+
+// The cut list of `feature`: UpperEdge of every bin but the last.
+std::vector<double> FittedCuts(const gbdt::FeatureBinner& binner,
+                               std::size_t feature) {
+  std::vector<double> cuts;
+  for (int b = 0; b + 1 < binner.NumBins(feature); ++b) {
+    cuts.push_back(binner.UpperEdge(feature, b));
+  }
+  return cuts;
+}
 
 // Hostile probe values for a given cut list: every cut itself, its
 // one-ulp neighbors on both sides, the infinities, zero crossings, and
@@ -53,200 +74,48 @@ std::vector<double> ProbeValues(const std::vector<double>& cuts, Rng& rng) {
   return probes;
 }
 
-// The lemma itself, checked exhaustively over probes × cut ranks.
-void ExpectRankLemma(const gbdt::FeatureBinner& binner, std::size_t feature,
-                     Rng& rng) {
-  const std::span<const double> cuts = binner.Boundaries(feature);
-  const std::vector<double> probes =
-      ProbeValues({cuts.begin(), cuts.end()}, rng);
-  for (const double v : probes) {
-    const int bin = binner.BinOf(feature, v);
-    for (std::size_t c = 0; c < cuts.size(); ++c) {
-      EXPECT_EQ(v <= cuts[c], bin <= static_cast<int>(c))
-          << "v=" << v << " cut[" << c << "]=" << cuts[c] << " bin=" << bin;
-    }
-  }
-}
-
-// Random continuous + low-cardinality distributions through Fit: the
-// learned boundaries must satisfy the lemma regardless of how the cuts
-// were chosen.
+// The lemma itself, checked exhaustively over probes × cut ranks, for
+// binners fitted on growing samples.
 TEST(QuantizerPropertyTest, FittedBinnerSatisfiesRankLemma) {
   Rng rng(42);
   for (int round = 0; round < 8; ++round) {
-    Dataset data(3);
-    const std::size_t rows = 200 + 150 * static_cast<std::size_t>(round);
-    for (std::size_t i = 0; i < rows; ++i) {
-      // Feature 0: continuous; feature 1: heavy ties (categorical-ish);
-      // feature 2: mixed sign with large magnitude spread.
-      const std::vector<double> row = {
-          rng.Gaussian(0.0, 2.0),
-          static_cast<double>(static_cast<int>(rng.Uniform(0.0, 6.0))),
-          rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.Uniform(-3.0, 6.0))};
-      data.AddRow(row, i % 2 == 0 ? 0 : 1);
-    }
-    gbdt::FeatureBinner binner;
-    binner.Fit(data, 32);
-    for (std::size_t f = 0; f < 3; ++f) ExpectRankLemma(binner, f, rng);
-  }
-}
-
-// Values exactly on a boundary: cut rank c holds its own cut value
-// (bin(cuts[c]) == c — the `<=` side of the split), and the next
-// representable double above it already ranks c + 1.
-TEST(QuantizerPropertyTest, BoundaryValuesPin) {
-  const std::vector<double> cuts = {-2.5, -1.0, 0.0, 0.5, 3.25};
-  const gbdt::FeatureBinner binner =
-      gbdt::FeatureBinner::FromBoundaries({cuts});
-  for (std::size_t c = 0; c < cuts.size(); ++c) {
-    EXPECT_EQ(binner.BinOf(0, cuts[c]), static_cast<int>(c));
-    EXPECT_EQ(binner.BinOf(0, std::nextafter(cuts[c], kInf)),
-              static_cast<int>(c) + 1);
-    EXPECT_EQ(binner.BinOf(0, std::nextafter(cuts[c], -kInf)),
-              static_cast<int>(c));
-  }
-  EXPECT_EQ(binner.BinOf(0, -kInf), 0);
-  EXPECT_EQ(binner.BinOf(0, kInf), static_cast<int>(cuts.size()));
-  // NaN lands in bin 0 — the LEFT edge, the opposite of tree-descent
-  // routing. This pins why the kernel bins NaN as the sentinel instead
-  // of calling BinOf (see kBinnedNaN in spe/kernels/program.h).
-  EXPECT_EQ(binner.BinOf(0, kNaN), 0);
-  EXPECT_GT(static_cast<int>(kernels::kBinnedNaN),
-            static_cast<int>(cuts.size()));
-}
-
-// FromBoundaries round-trips through the accessor and UpperEdge keeps
-// its contract against BinOf on the external cut lists too.
-TEST(QuantizerPropertyTest, FromBoundariesRoundTrip) {
-  const std::vector<std::vector<double>> bounds = {
-      {-1.0, 0.0, 2.0}, {}, {5.5}};
-  const gbdt::FeatureBinner binner = gbdt::FeatureBinner::FromBoundaries(bounds);
-  ASSERT_EQ(binner.num_features(), 3u);
-  for (std::size_t f = 0; f < 3; ++f) {
-    const std::span<const double> cuts = binner.Boundaries(f);
-    ASSERT_EQ(cuts.size(), bounds[f].size());
-    for (std::size_t i = 0; i < cuts.size(); ++i) {
-      EXPECT_EQ(cuts[i], bounds[f][i]);
-      EXPECT_EQ(binner.UpperEdge(f, static_cast<int>(i)), bounds[f][i]);
-      EXPECT_EQ(binner.BinOf(f, binner.UpperEdge(f, static_cast<int>(i))),
-                static_cast<int>(i));
-    }
-    EXPECT_EQ(binner.NumBins(f), static_cast<int>(cuts.size()) + 1);
-    EXPECT_EQ(binner.UpperEdge(f, static_cast<int>(cuts.size())), kInf);
-  }
-}
-
-// ---- BinnedProgram lowering ------------------------------------------
-
-// A hand-built program with one split node per threshold, so lowering
-// covers every (feature, threshold) pair directly.
-kernels::FlatProgram StumpProgram(
-    const std::vector<std::pair<int, double>>& splits) {
-  kernels::FlatProgram program;
-  for (const auto& [feature, threshold] : splits) {
-    kernels::FlatTreeBuilder builder(program);
-    builder.AddNode(feature, threshold, 1, 2, 0.0);
-    builder.AddNode(-1, 0.0, 0, 0, 0.25);
-    builder.AddNode(-1, 0.0, 0, 0, 0.75);
-    builder.Finish();
-  }
-  return program;
-}
-
-// Fuzz: random stumps lowered through BuildBinnedProgram must give, for
-// every split node and every probe value, the same go-right decision as
-// the double comparison — with NaN routed right via the sentinel.
-TEST(QuantizerPropertyTest, LoweredCutsMatchDoubleComparison) {
-  Rng rng(7);
-  for (int round = 0; round < 10; ++round) {
-    std::vector<std::pair<int, double>> splits;
-    const int n = 1 + static_cast<int>(rng.Uniform(0.0, 40.0));
-    for (int i = 0; i < n; ++i) {
-      const int feature = static_cast<int>(rng.Uniform(0.0, 3.0));
-      // Mix smooth draws with exact duplicates so some stumps share a
-      // threshold (same rank) and some differ by one ulp.
-      double t = rng.Gaussian(0.0, 2.0);
-      if (!splits.empty() && rng.Uniform() < 0.2) t = splits.back().second;
-      if (rng.Uniform() < 0.1) t = std::nextafter(t, kInf);
-      splits.push_back({feature, t});
-    }
-    const kernels::FlatProgram program = StumpProgram(splits);
-    const kernels::BinnedProgram binned = kernels::BuildBinnedProgram(program);
-    ASSERT_TRUE(binned.ok);
-
-    std::vector<double> cut_values;
-    for (const auto& [feature, t] : splits) cut_values.push_back(t);
-    Rng probe_rng(static_cast<std::uint64_t>(round) + 100);
-    const std::vector<double> probes = ProbeValues(cut_values, probe_rng);
-
-    for (std::size_t node = 0; node < program.pool.size(); ++node) {
-      const bool leaf =
-          program.pool.left[node] == static_cast<std::int32_t>(node);
-      if (leaf) continue;
-      const auto feature =
-          static_cast<std::size_t>(program.pool.feature[node]);
-      const double threshold = program.pool.threshold[node];
-      for (const double v : probes) {
-        const int bin = binned.binner.BinOf(feature, v);
-        const bool ref_right = !(v <= threshold);
-        const bool bin_right = bin > static_cast<int>(binned.cut[node]);
-        EXPECT_EQ(ref_right, bin_right)
-            << "node=" << node << " v=" << v << " t=" << threshold;
+    const gbdt::FeatureBinner binner =
+        FitHostileBinner(rng, 200 + 150 * static_cast<std::size_t>(round));
+    for (std::size_t f = 0; f < 3; ++f) {
+      const std::vector<double> cuts = FittedCuts(binner, f);
+      for (const double v : ProbeValues(cuts, rng)) {
+        const int bin = binner.BinOf(f, v);
+        for (std::size_t c = 0; c < cuts.size(); ++c) {
+          EXPECT_EQ(v <= cuts[c], bin <= static_cast<int>(c))
+              << "f=" << f << " v=" << v << " cut[" << c << "]=" << cuts[c]
+              << " bin=" << bin;
+        }
       }
-      // NaN: reference routes right; the kernel's sentinel must too.
-      EXPECT_TRUE(!(kNaN <= threshold));
-      EXPECT_GT(static_cast<int>(kernels::kBinnedNaN),
-                static_cast<int>(binned.cut[node]));
     }
   }
 }
 
-// ±Inf thresholds are representable ranks like any other value: the
-// lemma is pure ordering, so lowering handles them without special
-// cases.
-TEST(QuantizerPropertyTest, InfinityThresholdsLower) {
-  const kernels::FlatProgram program =
-      StumpProgram({{0, -kInf}, {0, 0.0}, {0, kInf}});
-  const kernels::BinnedProgram binned = kernels::BuildBinnedProgram(program);
-  ASSERT_TRUE(binned.ok);
-  Rng rng(11);
-  const std::vector<double> probes = ProbeValues({-kInf, 0.0, kInf}, rng);
-  for (const std::size_t node : {std::size_t{0}, std::size_t{3},
-                                 std::size_t{6}}) {
-    const double threshold = program.pool.threshold[node];
-    for (const double v : probes) {
-      const int bin = binned.binner.BinOf(0, v);
-      EXPECT_EQ(!(v <= threshold),
-                bin > static_cast<int>(binned.cut[node]))
-          << "t=" << threshold << " v=" << v;
+// Values exactly on a cut rank with it (the `<=` side of the split),
+// the next double above already ranks one higher, ±Inf take the end
+// bins, and NaN lands in bin 0.
+TEST(QuantizerPropertyTest, BoundaryValuesPin) {
+  Rng rng(43);
+  const gbdt::FeatureBinner binner = FitHostileBinner(rng, 600);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t f = 0; f < 3; ++f) {
+    const int last = binner.NumBins(f) - 1;
+    ASSERT_GE(last, 1) << "feature " << f << " fitted a single bin";
+    for (int b = 0; b < last; ++b) {
+      const double edge = binner.UpperEdge(f, b);
+      EXPECT_EQ(binner.BinOf(f, edge), b);
+      EXPECT_EQ(binner.BinOf(f, std::nextafter(edge, -kInf)), b);
+      EXPECT_EQ(binner.BinOf(f, std::nextafter(edge, kInf)), b + 1);
     }
+    EXPECT_EQ(binner.UpperEdge(f, last), kInf);
+    EXPECT_EQ(binner.BinOf(f, -kInf), 0);
+    EXPECT_EQ(binner.BinOf(f, kInf), last);
+    EXPECT_EQ(binner.BinOf(f, nan), 0);
   }
-}
-
-// Capacity boundary: exactly kBinnedMaxCuts distinct thresholds on one
-// feature lowers; one more must refuse (bin indices would collide with
-// the NaN sentinel).
-TEST(QuantizerPropertyTest, CapacityBoundary) {
-  std::vector<std::pair<int, double>> splits;
-  for (std::size_t i = 0; i < kernels::kBinnedMaxCuts; ++i) {
-    splits.push_back({0, static_cast<double>(i)});
-  }
-  EXPECT_TRUE(kernels::BuildBinnedProgram(StumpProgram(splits)).ok);
-  splits.push_back({0, static_cast<double>(kernels::kBinnedMaxCuts)});
-  EXPECT_FALSE(kernels::BuildBinnedProgram(StumpProgram(splits)).ok);
-  // Capacity is per feature: the same counts spread over two features
-  // lower fine.
-  std::vector<std::pair<int, double>> spread;
-  for (std::size_t i = 0; i < kernels::kBinnedMaxCuts + 1; ++i) {
-    spread.push_back({static_cast<int>(i % 2), static_cast<double>(i)});
-  }
-  EXPECT_TRUE(kernels::BuildBinnedProgram(StumpProgram(spread)).ok);
-}
-
-// A NaN threshold has no rank; the lowering must refuse rather than
-// misroute every row.
-TEST(QuantizerPropertyTest, NanThresholdRefusesToLower) {
-  EXPECT_FALSE(kernels::BuildBinnedProgram(StumpProgram({{0, kNaN}})).ok);
 }
 
 }  // namespace
