@@ -75,12 +75,14 @@ int main(int argc, char** argv) {
   const std::string model_path =
       (std::filesystem::temp_directory_path() / "spe_pipeline_demo.model")
           .string();
-  spe::SaveClassifierToFile(model, model_path);
-  const auto served = spe::LoadClassifierFromFile(model_path);
-  std::printf("model persisted to %s and reloaded as %s\n", model_path.c_str(),
-              served->Name().c_str());
+  spe::SaveModelBundleToFile(model, parts.train.num_features(), model_path);
+  const spe::ModelBundle served = spe::LoadModelBundleFromFile(model_path);
+  std::printf("model persisted to %s and reloaded as %s (%zu features)\n",
+              model_path.c_str(), served.model->Name().c_str(),
+              served.num_features);
 
-  const std::vector<double> test_probs = served->PredictProba(parts.test);
+  const std::vector<double> test_probs =
+      served.model->PredictProba(parts.test);
   const spe::ConfusionMatrix at_tuned =
       spe::ConfusionAt(parts.test.labels(), test_probs, tuned.threshold);
   std::printf("\nheld-out test: AUCPRC %.3f | @tuned-threshold  "

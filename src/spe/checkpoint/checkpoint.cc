@@ -10,6 +10,7 @@
 
 #include "spe/common/crc32.h"
 #include "spe/common/fault.h"
+#include "spe/common/model_format.h"
 #include "spe/io/model_io.h"
 
 namespace spe {
@@ -34,9 +35,11 @@ bool Expect(std::istream& is, std::string_view keyword) {
   return !is.fail() && token == keyword;
 }
 
-// Byte-counted read so SaveClassifier blobs round-trip verbatim.
+// Byte-counted read so SaveClassifier blobs round-trip verbatim. The
+// count is bounded by the bytes left before anything is allocated.
 bool ReadCountedBytes(std::istream& is, std::size_t count, std::string* out) {
   if (is.get() != '\n') return false;  // the newline ending the count
+  if (count > model_format::RemainingBytes(is)) return false;
   out->resize(count);
   is.read(out->data(), static_cast<std::streamsize>(count));
   return !is.fail();
@@ -82,14 +85,22 @@ bool ParseMemberLog(const std::string& log, LoadResult* result) {
     if (!(is >> kind) || !(is >> size)) return false;
     std::string blob;
     if (!ReadCountedBytes(is, size, &blob)) return false;
-    if (kind == "bootstrap") {
+    if (kind != "bootstrap" && kind != "member") return false;
+    // The bootstrap blob is decoded too, though only resume uses it: a
+    // malformed one refuses the checkpoint here instead of aborting the
+    // replay.
+    std::unique_ptr<Classifier> model;
+    try {
+      std::istringstream blob_in(blob);
+      model = DecodeClassifier(blob_in);
+    } catch (const ModelFormatError&) {
+      return false;
+    }
+    if (kind == "member") {
+      result->members.Add(std::move(model));
+    } else {
       if (!first || !result->core.bootstrap_blob.empty()) return false;
       result->core.bootstrap_blob = std::move(blob);
-    } else if (kind == "member") {
-      std::istringstream blob_in(blob);
-      result->members.Add(LoadClassifier(blob_in));
-    } else {
-      return false;
     }
     first = false;
   }

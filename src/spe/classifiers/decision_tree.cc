@@ -11,6 +11,7 @@
 #include <ostream>
 
 #include "spe/common/check.h"
+#include "spe/common/model_format.h"
 
 namespace spe {
 namespace {
@@ -300,17 +301,10 @@ void DecisionTree::SaveModel(std::ostream& os) const {
   os.write(out.data(), static_cast<std::streamsize>(out.size()));
 }
 
-DecisionTree DecisionTree::LoadModel(std::istream& is) {
-  std::string keyword;
-  std::size_t count = 0;
-  is >> keyword >> count;
-  SPE_CHECK(is.good() && keyword == "nodes") << "malformed tree model";
+DecisionTree DecisionTree::LoadModel(std::istream& is,
+                                     std::size_t num_features) {
   DecisionTree tree;
-  tree.nodes_.resize(count);
-  for (Node& n : tree.nodes_) {
-    is >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
-  }
-  SPE_CHECK(!is.fail()) << "truncated tree model";
+  tree.nodes_ = model_format::ReadTreeNodes<Node>(is, num_features);
   return tree;
 }
 

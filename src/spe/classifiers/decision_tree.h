@@ -60,9 +60,11 @@ class DecisionTree final : public Classifier, public kernels::FlatCompilable {
   int Depth() const;
 
   /// Text serialization of the fitted tree (see spe/io/model_io.h for
-  /// the polymorphic entry points). Save requires a fitted model.
+  /// the polymorphic entry points). Save requires a fitted model. Load
+  /// throws ModelFormatError on malformed input, including split
+  /// features at or past `num_features` (0 = width unknown).
   void SaveModel(std::ostream& os) const;
-  static DecisionTree LoadModel(std::istream& is);
+  static DecisionTree LoadModel(std::istream& is, std::size_t num_features);
 
   /// Per-feature importance: total weighted impurity decrease collected
   /// by this feature's splits, normalized to sum to 1 (all-zero when the

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "spe/common/check.h"
+#include "spe/common/model_format.h"
 #include "spe/common/rng.h"
 
 namespace spe {
@@ -208,20 +209,20 @@ void Gbdt::SaveModel(std::ostream& os) const {
   for (const auto& tree : trees_) tree.Save(os);
 }
 
-Gbdt Gbdt::LoadModel(std::istream& is) {
+Gbdt Gbdt::LoadModel(std::istream& is, std::size_t num_features) {
   std::string keyword;
   GbdtConfig config;
   Gbdt model(config);
-  std::size_t count = 0;
   is >> keyword >> model.base_score_;
-  SPE_CHECK(is.good() && keyword == "base_score") << "malformed gbdt model";
+  model_format::Require(!is.fail() && keyword == "base_score", "gbdt model");
   is >> keyword >> model.config_.learning_rate;
-  SPE_CHECK(is.good() && keyword == "learning_rate") << "malformed gbdt model";
-  is >> keyword >> count;
-  SPE_CHECK(is.good() && keyword == "trees") << "malformed gbdt model";
+  model_format::Require(!is.fail() && keyword == "learning_rate",
+                        "gbdt model");
+  // A tree is at least its "nodes N" line plus one node line.
+  const std::size_t count = model_format::ReadCount(is, "trees", 16);
   model.trees_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    model.trees_.push_back(gbdt::RegressionTree::Load(is));
+    model.trees_.push_back(gbdt::RegressionTree::Load(is, num_features));
   }
   // Keep Name() consistent with the restored tree count.
   model.config_.boost_rounds = count;

@@ -58,7 +58,7 @@ class Gbdt final : public Classifier, public kernels::FlatCompilable {
   /// saved — fitted trees carry raw-value thresholds, so a loaded model
   /// predicts but cannot resume training.
   void SaveModel(std::ostream& os) const;
-  static Gbdt LoadModel(std::istream& is);
+  static Gbdt LoadModel(std::istream& is, std::size_t num_features);
 
   /// Per-feature importance: total split gain across all trees,
   /// normalized to sum to 1 (all-zero when no tree found any split).

@@ -9,6 +9,7 @@
 
 #include "spe/classifiers/gbdt/histogram.h"
 #include "spe/common/check.h"
+#include "spe/common/model_format.h"
 #include "spe/kernels/program.h"
 
 namespace spe {
@@ -235,17 +236,10 @@ void RegressionTree::Save(std::ostream& os) const {
   }
 }
 
-RegressionTree RegressionTree::Load(std::istream& is) {
-  std::string keyword;
-  std::size_t count = 0;
-  is >> keyword >> count;
-  SPE_CHECK(is.good() && keyword == "nodes") << "malformed regression tree";
+RegressionTree RegressionTree::Load(std::istream& is,
+                                    std::size_t num_features) {
   RegressionTree tree;
-  tree.nodes_.resize(count);
-  for (Node& n : tree.nodes_) {
-    is >> n.feature >> n.threshold >> n.left >> n.right >> n.value;
-  }
-  SPE_CHECK(!is.fail()) << "truncated regression tree";
+  tree.nodes_ = model_format::ReadTreeNodes<Node>(is, num_features);
   return tree;
 }
 

@@ -46,9 +46,10 @@ class RegressionTree {
   std::size_t NumLeaves() const;
   std::size_t NumNodes() const { return nodes_.size(); }
 
-  /// Text serialization (used by Gbdt::SaveModel).
+  /// Text serialization (used by Gbdt::SaveModel). Load throws
+  /// ModelFormatError on malformed input (see DecisionTree::LoadModel).
   void Save(std::ostream& os) const;
-  static RegressionTree Load(std::istream& is);
+  static RegressionTree Load(std::istream& is, std::size_t num_features);
 
   /// Total split gain collected per feature during Fit (empty for
   /// loaded trees). Feeds Gbdt::FeatureImportances.

@@ -8,6 +8,7 @@
 #include <string>
 
 #include "spe/common/check.h"
+#include "spe/common/model_format.h"
 #include "spe/common/rng.h"
 
 namespace spe {
@@ -109,17 +110,24 @@ void LogisticRegression::SaveModel(std::ostream& os) const {
   scaler_.Save(os);
 }
 
-LogisticRegression LogisticRegression::LoadModel(std::istream& is) {
+LogisticRegression LogisticRegression::LoadModel(std::istream& is,
+                                                 std::size_t num_features) {
   std::string keyword;
-  std::size_t dim = 0;
-  is >> keyword >> dim;
-  SPE_CHECK(is.good() && keyword == "dim") << "malformed LR model";
+  // Each weight is at least one character and a separator.
+  const std::size_t dim = model_format::ReadCount(is, "dim", 2);
+  if (num_features > 0 && dim != num_features) {
+    throw ModelFormatError("LR dim " + std::to_string(dim) +
+                           " does not match the " +
+                           std::to_string(num_features) + "-feature schema");
+  }
   LogisticRegression model;
   model.w_.resize(dim);
   for (double& w : model.w_) is >> w;
   is >> keyword >> model.bias_;
-  SPE_CHECK(is.good() && keyword == "bias") << "malformed LR model";
+  model_format::Require(!is.fail() && keyword == "bias", "LR model");
   model.scaler_ = FeatureScaler::Load(is);
+  // PredictRow standardizes the whole row, so the scaler must cover it.
+  model_format::Require(model.scaler_.means().size() == dim, "LR scaler width");
   return model;
 }
 

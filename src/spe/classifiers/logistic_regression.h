@@ -42,7 +42,8 @@ class LogisticRegression final : public Classifier {
 
   /// Text serialization of the fitted model (weights + scaler).
   void SaveModel(std::ostream& os) const;
-  static LogisticRegression LoadModel(std::istream& is);
+  static LogisticRegression LoadModel(std::istream& is,
+                                      std::size_t num_features);
 
  private:
   LogisticRegressionConfig config_;

@@ -1,8 +1,6 @@
 #ifndef SPE_COMMON_EXIT_CODES_H_
 #define SPE_COMMON_EXIT_CODES_H_
 
-#include <string_view>
-
 namespace spe {
 
 /// Unified exit-code taxonomy for spe_cli and spe_serve, asserted
@@ -26,18 +24,18 @@ enum ExitCode : int {
   kExitFault = 5,
 };
 
-/// Maps a probe/load error message onto the taxonomy. The error strings
-/// are produced by spe/io and spe/checkpoint; classifying the message
-/// keeps those modules free of process-exit policy.
-inline int ClassifyArtifactErrorExit(std::string_view error) {
-  if (error.find("injected fault") != std::string_view::npos) {
-    return kExitFault;
-  }
-  if (error.find("cannot open") != std::string_view::npos ||
-      error.find("cannot write") != std::string_view::npos) {
-    return kExitIo;
-  }
-  return kExitCorruptArtifact;
+/// Why an artifact could not be loaded, as the model decoder
+/// (spe/io/model_io.h) reports it. kIo is a real filesystem failure that
+/// outlived its retries; kFault is an SPE_FAULTS-injected one; kCorrupt
+/// is anything wrong with the bytes themselves.
+enum class ArtifactError { kNone, kIo, kCorrupt, kFault };
+
+/// Maps a decoder error onto the taxonomy. The decoder reports a kind,
+/// not an exit code, which keeps spe/io free of process-exit policy.
+inline int ClassifyArtifactErrorExit(ArtifactError error) {
+  if (error == ArtifactError::kIo) return kExitIo;
+  if (error == ArtifactError::kFault) return kExitFault;
+  return error == ArtifactError::kNone ? kExitOk : kExitCorruptArtifact;
 }
 
 }  // namespace spe

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "spe/common/check.h"
+#include "spe/common/model_format.h"
 
 namespace spe {
 
@@ -229,10 +230,8 @@ void FeatureScaler::Save(std::ostream& os) const {
 }
 
 FeatureScaler FeatureScaler::Load(std::istream& is) {
-  std::string keyword;
-  std::size_t dim = 0;
-  is >> keyword >> dim;
-  SPE_CHECK(is.good() && keyword == "scaler") << "malformed scaler";
+  // A column line is at least "m s c\n".
+  const std::size_t dim = model_format::ReadCount(is, "scaler", 6);
   FeatureScaler scaler;
   scaler.means_.resize(dim);
   scaler.stds_.resize(dim);
@@ -240,10 +239,11 @@ FeatureScaler FeatureScaler::Load(std::istream& is) {
   for (std::size_t j = 0; j < dim; ++j) {
     int categorical = 0;
     is >> scaler.means_[j] >> scaler.stds_[j] >> categorical;
+    model_format::Require(!is.fail() && (categorical == 0 || categorical == 1),
+                          "scaler");
     scaler.kinds_[j] =
         categorical != 0 ? FeatureKind::kCategorical : FeatureKind::kNumerical;
   }
-  SPE_CHECK(!is.fail()) << "truncated scaler";
   return scaler;
 }
 

@@ -1,14 +1,17 @@
 #include "spe/io/model_io.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -37,9 +40,15 @@ constexpr char kBundleMagic[] = "spe-bundle";
 // Version 2 added "payload_bytes B crc32 HHHHHHHH" to the header so
 // loaders detect truncated / bit-flipped artifacts. Version 3 added the
 // "hardness_histogram" line — the training-time drift baseline for the
-// lifecycle layer. Version 2 loads unchanged (no histogram); version 1
-// (schema only) and bare spe-model streams load with a warning.
+// lifecycle layer. Both load; version 1 bundles and bare spe-model files
+// carried no checksum and are refused.
 constexpr int kBundleVersion = 3;
+// Widest schema a bundle may declare. Serving sizes per-batch buffers by
+// the schema width, so a corrupt header must not be able to ask for more.
+constexpr std::size_t kMaxNumFeatures = std::size_t{1} << 24;
+// Deepest model nesting the decoder follows (an ensemble of boosters of
+// trees is 3 deep); bounds the recursion a crafted payload can ask for.
+constexpr int kMaxNesting = 32;
 
 // "hardness_histogram K [KIND MIN MAX C0 .. C(K-1)]". Doubles print
 // with max_digits10 so a parse-and-reprint reproduces the exact bytes.
@@ -59,31 +68,58 @@ void WriteHistogramLine(const HardnessHistogram* histogram, std::ostream& os) {
   os << "\n";
 }
 
-// Consumes the histogram line's fields (the leading "hardness_histogram"
-// keyword included). Returns false on malformed input.
-bool ReadHistogramFields(std::istream& is, HardnessHistogram* out) {
-  std::string keyword;
-  std::size_t num_bins = 0;
-  is >> keyword >> num_bins;
-  if (!is.good() || keyword != "hardness_histogram") return false;
-  if (num_bins == 0) return true;  // model carries no histogram
-  HardnessHistogram histogram;
-  is >> histogram.kind >> histogram.min >> histogram.max;
-  if (!is.good()) return false;
-  histogram.counts.resize(num_bins);
-  for (std::size_t b = 0; b < num_bins; ++b) {
-    is >> histogram.counts[b];
-    if (is.fail()) return false;
+std::vector<std::string_view> SplitFields(std::string_view line) {
+  std::vector<std::string_view> fields;
+  for (std::size_t at = 0; at < line.size();) {
+    const std::size_t end = std::min(line.find(' ', at), line.size());
+    if (end > at) fields.push_back(line.substr(at, end - at));
+    at = end + 1;
   }
-  if (out != nullptr) *out = std::move(histogram);
-  return true;
+  return fields;
 }
 
-void WarnLegacyArtifact(const char* kind) {
-  std::fprintf(stderr,
-               "warning: loading %s without an integrity checksum; re-save "
-               "with spe_cli train (or SaveModelBundle) to upgrade\n",
-               kind);
+// Whole-token parse through from_chars, which refuses a "-1" for an
+// unsigned field instead of wrapping it.
+template <typename T, typename... Base>
+bool ParseNumber(std::string_view token, T* out, Base... base) {
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out, base...);
+  return ec == std::errc() && ptr == end;
+}
+
+// Parses the v3 histogram line. The bin count must match the fields
+// actually present before any count is stored, and the baseline must be
+// one drift detection can use: a known hardness kind, a finite range and
+// a nonzero total.
+bool ParseHistogramLine(std::string_view line, HardnessHistogram* out) {
+  const std::vector<std::string_view> fields = SplitFields(line);
+  std::size_t num_bins = 0;
+  if (fields.size() < 2 || fields[0] != "hardness_histogram" ||
+      !ParseNumber(fields[1], &num_bins)) {
+    return false;
+  }
+  if (num_bins == 0) return fields.size() == 2;  // no histogram
+  if (fields.size() < 5 || fields.size() - 5 != num_bins) return false;
+  HardnessHistogram histogram;
+  histogram.kind = std::string(fields[2]);
+  HardnessKind kind{};
+  if (!HardnessKindFromName(histogram.kind, &kind) ||
+      !ParseNumber(fields[3], &histogram.min) ||
+      !ParseNumber(fields[4], &histogram.max) ||
+      !std::isfinite(histogram.min) || !std::isfinite(histogram.max)) {
+    return false;
+  }
+  histogram.counts.resize(num_bins);
+  std::uint64_t total = 0;
+  for (std::size_t b = 0; b < num_bins; ++b) {
+    if (!ParseNumber(fields[5 + b], &histogram.counts[b]) ||
+        __builtin_add_overflow(total, histogram.counts[b], &total)) {
+      return false;
+    }
+  }
+  if (total == 0) return false;
+  *out = std::move(histogram);
+  return true;
 }
 
 void SaveEnsembleMembers(const VotingEnsemble& members, std::ostream& os) {
@@ -93,27 +129,29 @@ void SaveEnsembleMembers(const VotingEnsemble& members, std::ostream& os) {
   }
 }
 
-VotingEnsemble LoadEnsembleMembers(std::istream& is) {
-  std::string keyword;
-  std::size_t count = 0;
-  is >> keyword >> count;
-  SPE_CHECK(is.good() && keyword == "members") << "malformed ensemble model";
-  VotingEnsemble members;
-  for (std::size_t i = 0; i < count; ++i) {
-    members.Add(LoadClassifier(is));
-  }
-  return members;
+ModelBundle Unwrap(DecodedBundle decoded) {
+  SPE_CHECK(decoded.ok()) << decoded.message;
+  return std::move(decoded.bundle);
 }
 
-// Compile-on-load: ActiveKernel triggers the lazy flat-inference
-// compile, so a serving process pays it at startup rather than on the
-// first scored batch. Models that cannot lower (non-tree members)
-// simply stay on the reference path.
-ModelBundle FinishBundle(ModelBundle bundle) {
-  if (bundle.model != nullptr) {
-    (void)kernels::ActiveKernel(*bundle.model);
+// Reads the whole artifact in one pass. A missing file throws
+// TransientIoError (a mount blip heals; the artifact is
+// rename(2)-published, so a file that exists is never torn), as does
+// the artifact_read_fail_rate fault point; model_io_fail_rate keeps its
+// historical abort, so server startup failure paths stay testable.
+std::string ReadArtifactFile(const std::string& path) {
+  if (Faults().ShouldFailArtifactRead()) {
+    throw TransientIoError(
+        "injected fault: transient artifact read failed for " + path,
+        /*injected=*/true);
   }
-  return bundle;
+  SPE_CHECK(!Faults().ShouldFailModelIo())
+      << "injected fault: model artifact read failed for " << path;
+  std::ifstream is(path, std::ios::binary);
+  if (!is.good()) throw TransientIoError("cannot open " + path);
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return std::move(bytes).str();
 }
 
 }  // namespace
@@ -218,105 +256,75 @@ void SaveClassifier(const Classifier& model, std::ostream& os) {
 
 namespace {
 
-/// Reads the leading magic word; when it is a bundle header (version 1,
-/// 2 or 3), consumes the header fields (reporting the width via
-/// `num_features`) and reads on to the inner model magic. Does NOT
-/// verify integrity — that is LoadModelBundle's job; this path exists
-/// for LoadClassifier callers that only want the model.
-std::string ReadMagicSkippingBundle(std::istream& is,
-                                    std::size_t* num_features) {
+// Restores one "spe-model VERSION TAG ..." model; `depth` counts the
+// ensembles and boosters it is nested in.
+std::unique_ptr<Classifier> DecodeNested(std::istream& is,
+                                         std::size_t num_features,
+                                         int depth) {
   std::string magic;
-  is >> magic;
-  if (magic == kBundleMagic) {
-    int version = 0;
-    std::string keyword;
-    std::size_t width = 0;
-    is >> version >> keyword >> width;
-    SPE_CHECK(is.good() && keyword == "num_features")
-        << "malformed bundle header";
-    if (version >= 2) {
-      SPE_CHECK_LE(version, kBundleVersion) << "unsupported bundle version";
-      std::size_t payload_bytes = 0;
-      std::string crc_hex;
-      is >> keyword >> payload_bytes;
-      SPE_CHECK(is.good() && keyword == "payload_bytes")
-          << "malformed bundle header";
-      is >> keyword >> crc_hex;
-      SPE_CHECK(is.good() && keyword == "crc32") << "malformed bundle header";
-      if (version >= 3) {
-        SPE_CHECK(ReadHistogramFields(is, nullptr))
-            << "malformed bundle header";
-      }
-    } else {
-      SPE_CHECK_EQ(version, 1) << "unsupported bundle version";
-    }
-    if (num_features != nullptr) *num_features = width;
-    is >> magic;
+  int version = 0;
+  std::string tag;
+  is >> magic >> version >> tag;
+  if (is.fail() || magic != kMagic || version != kFormatVersion) {
+    throw ModelFormatError("not an spe model stream (spe-model 1)");
   }
-  return magic;
-}
-
-/// Restores a model whose "spe-model VERSION TAG" preamble has already
-/// been consumed (shared by LoadClassifier and LoadModelBundle).
-std::unique_ptr<Classifier> LoadTagged(int version, const std::string& tag,
-                                       std::istream& is) {
-  SPE_CHECK_EQ(version, kFormatVersion);
+  if (depth > kMaxNesting) throw ModelFormatError("model nested too deep");
 
   if (tag == "DecisionTree") {
-    return std::make_unique<DecisionTree>(DecisionTree::LoadModel(is));
+    return std::make_unique<DecisionTree>(
+        DecisionTree::LoadModel(is, num_features));
   }
   if (tag == "Gbdt") {
-    return std::make_unique<Gbdt>(Gbdt::LoadModel(is));
+    return std::make_unique<Gbdt>(Gbdt::LoadModel(is, num_features));
   }
   if (tag == "LogisticRegression") {
     return std::make_unique<LogisticRegression>(
-        LogisticRegression::LoadModel(is));
+        LogisticRegression::LoadModel(is, num_features));
   }
+  // A nested model is at least its "spe-model 1 TAG" line.
+  constexpr std::size_t kMinModelBytes = 14;
   if (tag == "AdaBoost") {
     std::string keyword;
     AdaBoostConfig config;
-    std::size_t stage_count = 0;
     is >> keyword >> config.learning_rate;
-    SPE_CHECK(is.good() && keyword == "learning_rate") << "malformed AdaBoost";
-    is >> keyword >> stage_count;
-    SPE_CHECK(is.good() && keyword == "stages") << "malformed AdaBoost";
+    model_format::Require(!is.fail() && keyword == "learning_rate",
+                          "AdaBoost");
+    const std::size_t stage_count =
+        model_format::ReadCount(is, "stages", kMinModelBytes);
     config.n_estimators = stage_count;
     std::vector<std::unique_ptr<Classifier>> stages;
     stages.reserve(stage_count);
     for (std::size_t i = 0; i < stage_count; ++i) {
-      stages.push_back(LoadClassifier(is));
+      stages.push_back(DecodeNested(is, num_features, depth + 1));
     }
     return AdaBoost::FromTrainedStages(config, std::move(stages));
   }
   if (tag == "VotingEnsemble") {
-    return std::make_unique<VotingEnsembleModel>(LoadEnsembleMembers(is));
+    const std::size_t count =
+        model_format::ReadCount(is, "members", kMinModelBytes);
+    VotingEnsemble members;
+    for (std::size_t i = 0; i < count; ++i) {
+      members.Add(DecodeNested(is, num_features, depth + 1));
+    }
+    return std::make_unique<VotingEnsembleModel>(std::move(members));
   }
-  SPE_CHECK(false) << "unknown model tag: " << tag;
-  return nullptr;  // unreachable
+  throw ModelFormatError("unknown model tag: " + tag);
 }
 
 }  // namespace
 
+std::unique_ptr<Classifier> DecodeClassifier(std::istream& is,
+                                             std::size_t num_features) {
+  return DecodeNested(is, num_features, 0);
+}
+
 std::unique_ptr<Classifier> LoadClassifier(std::istream& is) {
-  const std::string magic = ReadMagicSkippingBundle(is, nullptr);
-  int version = 0;
-  std::string tag;
-  is >> version >> tag;
-  SPE_CHECK(is.good() && magic == kMagic) << "not an spe model stream";
-  return LoadTagged(version, tag, is);
-}
-
-void SaveClassifierToFile(const Classifier& model, const std::string& path) {
-  std::ofstream os(path);
-  SPE_CHECK(os.good()) << "cannot write " << path;
-  SaveClassifier(model, os);
-  SPE_CHECK(os.good()) << "write failed: " << path;
-}
-
-std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path) {
-  std::ifstream is(path);
-  SPE_CHECK(is.good()) << "cannot open " << path;
-  return LoadClassifier(is);
+  try {
+    return DecodeClassifier(is);
+  } catch (const ModelFormatError& error) {
+    SPE_CHECK(false) << error.what();
+    return nullptr;  // unreachable
+  }
 }
 
 void SaveModelBundle(const Classifier& model, std::size_t num_features,
@@ -374,188 +382,120 @@ void SaveModelBundleToFile(const Classifier& model, std::size_t num_features,
       << "cannot rename " << tmp << " over " << path;
 }
 
-ModelBundle LoadModelBundle(std::istream& is) {
+DecodedBundle DecodeModelBundle(std::string bytes) {
+  const auto corrupt = [](std::string message) {
+    return DecodedBundle{{}, ArtifactError::kCorrupt, std::move(message)};
+  };
   ModelBundle bundle;
-  std::string magic;
-  is >> magic;
-  SPE_CHECK(is.good()) << "empty or unreadable model stream";
-
-  if (magic != kBundleMagic) {
-    // Bare classifier stream (pre-bundle era): no schema, no checksum.
-    SPE_CHECK(magic == kMagic) << "not an spe model stream";
-    WarnLegacyArtifact("a bare spe-model artifact (no schema header)");
-    int version = 0;
-    std::string tag;
-    is >> version >> tag;
-    SPE_CHECK(is.good()) << "truncated model stream";
-    bundle.model = LoadTagged(version, tag, is);
-    return FinishBundle(std::move(bundle));
+  const std::size_t eol = bytes.find('\n');
+  const std::vector<std::string_view> head =
+      SplitFields(std::string_view(bytes).substr(0, eol));
+  if (head.empty() || head[0] != kBundleMagic) {
+    return corrupt(!head.empty() && head[0] == kMagic
+                       ? "bare spe-model stream has no checksum header; "
+                         "only spe-bundle v2/v3 artifacts load"
+                       : "not an spe model bundle");
+  }
+  if (head.size() < 2 || !ParseNumber(head[1], &bundle.format_version) ||
+      (bundle.format_version != 2 &&
+       bundle.format_version != kBundleVersion)) {
+    return corrupt("unsupported bundle version; only checksummed v2/v3 "
+                   "bundles load");
+  }
+  // "spe-bundle V num_features N payload_bytes B crc32 HHHHHHHH"
+  std::uint32_t expected_crc = 0;
+  if (eol == std::string::npos || head.size() != 8 ||
+      head[2] != "num_features" || head[4] != "payload_bytes" ||
+      head[6] != "crc32" || head[7].size() != 8 ||
+      !ParseNumber(head[3], &bundle.num_features) ||
+      !ParseNumber(head[5], &bundle.payload_bytes) ||
+      !ParseNumber(head[7], &expected_crc, 16)) {
+    return corrupt("malformed bundle header");
+  }
+  bundle.crc32_hex = std::string(head[7]);
+  if (bundle.num_features == 0 || bundle.num_features > kMaxNumFeatures) {
+    return corrupt("bundle header num_features " +
+                   std::to_string(bundle.num_features) + " outside [1, 2^24]");
+  }
+  std::size_t payload_start = eol + 1;
+  if (bundle.format_version >= 3) {
+    const std::size_t eol2 = bytes.find('\n', payload_start);
+    if (eol2 == std::string::npos ||
+        !ParseHistogramLine(std::string_view(bytes).substr(
+                                payload_start, eol2 - payload_start),
+                            &bundle.hardness_histogram)) {
+      return corrupt("malformed bundle header: bad hardness_histogram line");
+    }
+    payload_start = eol2 + 1;
   }
 
-  int version = 0;
-  std::string keyword;
-  is >> version >> keyword >> bundle.num_features;
-  SPE_CHECK(is.good() && keyword == "num_features")
-      << "malformed bundle header";
-  bundle.format_version = version;
-
-  if (version == 1) {
-    // Legacy bundle: schema header but no integrity fields.
-    WarnLegacyArtifact("a version-1 model bundle (schema only)");
-    int model_version = 0;
-    std::string tag;
-    is >> magic >> model_version >> tag;
-    SPE_CHECK(is.good() && magic == kMagic) << "not an spe model stream";
-    bundle.model = LoadTagged(model_version, tag, is);
-    return FinishBundle(std::move(bundle));
+  // Verify before parsing a single payload byte: a short file is
+  // truncation, a checksum mismatch is corruption, and both are named as
+  // such rather than as a downstream parse confusion.
+  const std::size_t present = bytes.size() - payload_start;
+  if (bundle.payload_bytes > present) {
+    return corrupt("model artifact truncated: header promises " +
+                   std::to_string(bundle.payload_bytes) +
+                   " payload bytes but only " + std::to_string(present) +
+                   " are present");
   }
-  SPE_CHECK(version == 2 || version == kBundleVersion)
-      << "unsupported bundle version";
-
-  std::size_t payload_bytes = 0;
-  std::string crc_hex;
-  is >> keyword >> payload_bytes;
-  SPE_CHECK(is.good() && keyword == "payload_bytes")
-      << "malformed bundle header";
-  is >> keyword >> crc_hex;
-  SPE_CHECK(is.good() && keyword == "crc32") << "malformed bundle header";
-  if (version >= 3) {
-    SPE_CHECK(ReadHistogramFields(is, &bundle.hardness_histogram))
-        << "malformed bundle header";
+  const std::uint32_t actual_crc = Crc32(
+      std::string_view(bytes).substr(payload_start, bundle.payload_bytes));
+  if (actual_crc != expected_crc) {
+    char actual_hex[16];
+    std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual_crc);
+    return corrupt(std::string("model artifact corrupted: payload crc32 ") +
+                   actual_hex + " does not match header crc32 " +
+                   bundle.crc32_hex);
   }
-  SPE_CHECK(is.get() == '\n') << "malformed bundle header";
-  bundle.payload_bytes = payload_bytes;
-  bundle.crc32_hex = crc_hex;
 
-  // Read exactly the promised payload, then verify before parsing a
-  // single byte of it: a short read is truncation, a checksum mismatch
-  // is corruption, and both fail with the artifact left untouched by
-  // the parser (so the error names the real problem, not a downstream
-  // parse confusion).
-  std::string payload(payload_bytes, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(payload_bytes));
-  const std::size_t got = static_cast<std::size_t>(is.gcount());
-  SPE_CHECK(got == payload_bytes)
-      << "model artifact truncated: header promises " << payload_bytes
-      << " payload bytes but only " << got << " are present";
-  const std::uint32_t expected =
-      static_cast<std::uint32_t>(std::strtoul(crc_hex.c_str(), nullptr, 16));
-  const std::uint32_t actual = Crc32(payload);
-  char actual_hex[16];
-  std::snprintf(actual_hex, sizeof(actual_hex), "%08x", actual);
-  SPE_CHECK(actual == expected)
-      << "model artifact corrupted: payload crc32 " << actual_hex
-      << " does not match header crc32 " << crc_hex;
-
-  std::istringstream payload_is(payload);
-  int model_version = 0;
-  std::string tag;
-  payload_is >> magic >> model_version >> tag;
-  SPE_CHECK(payload_is.good() && magic == kMagic) << "not an spe model stream";
-  bundle.model = LoadTagged(model_version, tag, payload_is);
+  // Decode the payload in place (the stream takes over the buffer); the
+  // model must use up the whole payload.
+  bytes.resize(payload_start + bundle.payload_bytes);
+  std::istringstream payload(std::move(bytes));
+  payload.seekg(static_cast<std::streamoff>(payload_start));
+  try {
+    bundle.model = DecodeClassifier(payload, bundle.num_features);
+    payload >> std::ws;
+    model_format::Require(payload.peek() == EOF, "payload: bytes past model");
+  } catch (const ModelFormatError& error) {
+    return corrupt(std::string("model artifact malformed: ") + error.what());
+  }
   if (!bundle.hardness_histogram.empty()) {
     if (auto* voting = dynamic_cast<VotingEnsembleModel*>(bundle.model.get())) {
       voting->set_training_hardness(bundle.hardness_histogram);
     }
   }
-  return FinishBundle(std::move(bundle));
+  // Compile-on-load: ActiveKernel triggers the lazy flat-inference
+  // compile, so a serving process pays it at startup rather than on the
+  // first scored batch. Models that cannot lower (non-tree members)
+  // simply stay on the reference path.
+  (void)kernels::ActiveKernel(*bundle.model);
+  return {std::move(bundle), ArtifactError::kNone, {}};
 }
 
-BundleProbe ProbeModelBundleFile(const std::string& path) {
-  BundleProbe probe;
-  std::ifstream is(path);
-  if (!is.good()) {
-    probe.error = "cannot open " + path;
-    return probe;
+DecodedBundle DecodeModelBundleFile(const std::string& path,
+                                    const RetryPolicy& retry) {
+  std::string bytes;
+  try {
+    bytes = RetryWithBackoff(retry, "artifact read " + path,
+                             [&] { return ReadArtifactFile(path); });
+  } catch (const TransientIoError& error) {
+    return {{},
+            error.injected() ? ArtifactError::kFault : ArtifactError::kIo,
+            error.what()};
   }
-  std::string magic;
-  is >> magic;
-  if (!is.good()) {
-    probe.error = "empty or unreadable model stream";
-    return probe;
-  }
-  if (magic == kMagic) {
-    // Bare classifier stream: nothing to verify, nothing to report.
-    probe.ok = true;
-    return probe;
-  }
-  if (magic != kBundleMagic) {
-    probe.error = "not an spe model stream";
-    return probe;
-  }
-  std::string keyword;
-  is >> probe.format_version >> keyword >> probe.num_features;
-  if (!is.good() || keyword != "num_features") {
-    probe.error = "malformed bundle header";
-    return probe;
-  }
-  if (probe.format_version == 1) {
-    probe.ok = true;  // schema only; no integrity promise to check
-    return probe;
-  }
-  if (probe.format_version != 2 && probe.format_version != kBundleVersion) {
-    probe.error = "unsupported bundle version";
-    return probe;
-  }
-  is >> keyword >> probe.payload_bytes;
-  if (!is.good() || keyword != "payload_bytes") {
-    probe.error = "malformed bundle header";
-    return probe;
-  }
-  is >> keyword >> probe.crc32_hex;
-  if (!is.good() || keyword != "crc32") {
-    probe.error = "malformed bundle header";
-    return probe;
-  }
-  if (probe.format_version >= 3) {
-    HardnessHistogram histogram;
-    if (!ReadHistogramFields(is, &histogram)) {
-      probe.error = "malformed bundle header";
-      return probe;
-    }
-    probe.has_hardness_histogram = !histogram.empty();
-  }
-  if (is.get() != '\n') {
-    probe.error = "malformed bundle header";
-    return probe;
-  }
-  std::string payload(probe.payload_bytes, '\0');
-  is.read(payload.data(), static_cast<std::streamsize>(probe.payload_bytes));
-  const std::size_t got = static_cast<std::size_t>(is.gcount());
-  if (got != probe.payload_bytes) {
-    probe.error = "model artifact truncated: header promises " +
-                  std::to_string(probe.payload_bytes) +
-                  " payload bytes but only " + std::to_string(got) +
-                  " are present";
-    return probe;
-  }
-  const std::uint32_t expected = static_cast<std::uint32_t>(
-      std::strtoul(probe.crc32_hex.c_str(), nullptr, 16));
-  if (Crc32(payload) != expected) {
-    probe.error = "model artifact corrupted: payload crc32 does not match "
-                  "header crc32 " +
-                  probe.crc32_hex;
-    return probe;
-  }
-  probe.ok = true;
-  return probe;
+  return DecodeModelBundle(std::move(bytes));
+}
+
+ModelBundle LoadModelBundle(std::istream& is) {
+  std::ostringstream bytes;
+  bytes << is.rdbuf();
+  return Unwrap(DecodeModelBundle(std::move(bytes).str()));
 }
 
 ModelBundle LoadModelBundleFromFile(const std::string& path) {
-  // Transient fault point: a recoverable read failure, retryable by the
-  // caller (ModelRegistry::LoadFromFile does exactly that).
-  if (Faults().ShouldFailArtifactRead()) {
-    throw TransientIoError(
-        "injected fault: transient artifact read failed for " + path,
-        /*injected=*/true);
-  }
-  // Fault point: simulates an unreadable artifact (bad disk, lost
-  // mount) so server startup failure paths are testable.
-  SPE_CHECK(!Faults().ShouldFailModelIo())
-      << "injected fault: model artifact read failed for " << path;
-  std::ifstream is(path);
-  SPE_CHECK(is.good()) << "cannot open " << path;
-  return LoadModelBundle(is);
+  return Unwrap(DecodeModelBundle(ReadArtifactFile(path)));
 }
 
 }  // namespace spe

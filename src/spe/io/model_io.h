@@ -7,6 +7,9 @@
 #include <utility>
 
 #include "spe/classifiers/classifier.h"
+#include "spe/common/exit_codes.h"
+#include "spe/common/model_format.h"
+#include "spe/common/retry.h"
 #include "spe/core/hardness.h"
 #include "spe/kernels/program.h"
 
@@ -59,7 +62,8 @@ class VotingEnsembleModel final : public Classifier,
   HardnessHistogram training_hardness_;
 };
 
-/// Persists a *fitted* classifier as a self-describing text artifact.
+/// Persists a *fitted* classifier as a self-describing text stream (the
+/// payload of a model bundle, below).
 ///
 /// Supported:
 ///   - DecisionTree, Gbdt, LogisticRegression (full state);
@@ -72,13 +76,18 @@ class VotingEnsembleModel final : public Classifier,
 /// Aborts (CHECK) on unsupported types (e.g. KNN, whose "model" is the
 /// training set itself) and on unfitted models.
 void SaveClassifier(const Classifier& model, std::ostream& os);
-void SaveClassifierToFile(const Classifier& model, const std::string& path);
 
-/// Restores a classifier persisted by SaveClassifier. The returned
-/// object predicts identically to the saved one. Also accepts bundle
-/// streams (below), skipping the schema header.
+/// Restores a classifier from a bare "spe-model" stream as written by
+/// SaveClassifier — a bundle's payload or a checkpoint member blob, both
+/// CRC-framed by their container. Throws ModelFormatError
+/// (spe/common/model_format.h) on malformed input; when `num_features`
+/// is nonzero, split features and LR weights must fit that width. The
+/// returned object predicts identically to the saved one.
+std::unique_ptr<Classifier> DecodeClassifier(std::istream& is,
+                                             std::size_t num_features = 0);
+
+/// Aborting form of DecodeClassifier, for callers with no way to refuse.
 std::unique_ptr<Classifier> LoadClassifier(std::istream& is);
-std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path);
 
 /// A model together with the input schema the serving layer needs to
 /// validate incoming rows, plus the manifest fields the model registry
@@ -87,12 +96,10 @@ std::unique_ptr<Classifier> LoadClassifierFromFile(const std::string& path);
 /// (which knows the dataset width) supplies it at save time.
 struct ModelBundle {
   std::unique_ptr<Classifier> model;
-  std::size_t num_features = 0;  // 0 = unknown (legacy spe-model stream)
-  /// Artifact provenance, filled by LoadModelBundle: 0 for bare
-  /// spe-model streams, otherwise the "spe-bundle" header version.
+  std::size_t num_features = 0;
+  /// The "spe-bundle" header version: 2 or 3.
   int format_version = 0;
-  /// Payload size and checksum from the header; 0 / empty for artifacts
-  /// that predate the integrity fields (bare streams, v1 bundles).
+  /// Payload size and checksum from the header, verified on load.
   std::size_t payload_bytes = 0;
   std::string crc32_hex;
   /// Training-time hardness histogram from a v3 header; empty otherwise.
@@ -113,8 +120,6 @@ struct ModelBundle {
 /// histogram is taken from `histogram` when non-null, else from the
 /// model's HardnessProfiled capability when it has one. MIN/MAX print
 /// with 17 significant digits so the line round-trips byte-identically.
-/// Readers that only want the classifier (LoadClassifier) skip the
-/// header transparently.
 void SaveModelBundle(const Classifier& model, std::size_t num_features,
                      std::ostream& os,
                      const HardnessHistogram* histogram = nullptr);
@@ -126,36 +131,39 @@ void SaveModelBundle(const Classifier& model, std::size_t num_features,
 void SaveModelBundleToFile(const Classifier& model, std::size_t num_features,
                            const std::string& path);
 
-/// Loads a bundle stream or a bare classifier stream. Version-2/3
-/// bundle headers are verified: a payload shorter than advertised aborts
-/// with a truncation message, a CRC mismatch with a corruption message.
-/// Legacy artifacts (bare "spe-model" streams and version-1 bundles)
-/// still load, with a stderr warning that they carry no checksum; for
-/// bare streams num_features is 0 and the caller must know the width.
-/// A v3 hardness histogram is reported on the bundle and, when the model
-/// is a VotingEnsembleModel, installed on it so a re-save round-trips.
-ModelBundle LoadModelBundle(std::istream& is);
-ModelBundle LoadModelBundleFromFile(const std::string& path);
-
-/// Outcome of a non-aborting artifact inspection (ProbeModelBundleFile).
-struct BundleProbe {
-  bool ok = false;
-  std::string error;  // human-readable reason when !ok
-  int format_version = 0;  // 0 = bare spe-model stream
-  std::size_t num_features = 0;
-  std::size_t payload_bytes = 0;
-  std::string crc32_hex;
-  bool has_hardness_histogram = false;
+/// Outcome of decoding an artifact: the bundle, or why it was refused.
+struct DecodedBundle {
+  ModelBundle bundle;  ///< model is null unless ok()
+  ArtifactError error = ArtifactError::kNone;
+  std::string message;  ///< human-readable reason when !ok()
+  bool ok() const { return error == ArtifactError::kNone; }
 };
 
-/// Validates an artifact without loading the model and without aborting:
-/// parses the header, checks the payload length against the promise and
-/// the payload CRC against the checksum. The hot-reload path probes
-/// before LoadModelBundleFromFile so a truncated or bit-flipped
-/// candidate is refused with an error response instead of taking the
-/// serving process down with it. Legacy artifacts (bare streams, v1
-/// bundles) probe ok with their limitations reflected in the fields.
-BundleProbe ProbeModelBundleFile(const std::string& path);
+/// The one artifact decoder; it never aborts on bad bytes. Parses the
+/// header once, checking num_features, payload_bytes and the histogram
+/// bin count against the bytes actually present before allocating
+/// anything, verifies the payload CRC once, then decodes the payload
+/// (DecodeClassifier) against the header's width. Only checksummed
+/// bundles (v2, v3) load: a bare spe-model stream or a v1 bundle is
+/// refused as kCorrupt. On success the model's flat kernel is compiled
+/// and a v3 histogram is installed on a VotingEnsembleModel, so a
+/// re-save round-trips byte for byte.
+DecodedBundle DecodeModelBundle(std::string bytes);
+
+/// Reads `path` once and decodes it. A missing or unreadable file and an
+/// injected artifact_read_fail_rate fault are retried under `retry`;
+/// when they outlive it the result is kIo or kFault. The
+/// model_io_fail_rate fault point aborts, as it always has.
+DecodedBundle DecodeModelBundleFile(const std::string& path,
+                                    const RetryPolicy& retry = {});
+
+/// Aborting wrappers over the decoder, for callers that cannot run on
+/// without the model. The file variant reads once with no retry: a
+/// missing file or an injected read fault throws TransientIoError (so
+/// the caller may retry); a corrupt artifact aborts with the decoder's
+/// message ("model artifact truncated: ...", "... corrupted: ...").
+ModelBundle LoadModelBundle(std::istream& is);
+ModelBundle LoadModelBundleFromFile(const std::string& path);
 
 }  // namespace spe
 

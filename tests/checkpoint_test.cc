@@ -9,6 +9,7 @@
 
 #include <csignal>
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -19,6 +20,7 @@
 #include <gtest/gtest.h>
 
 #include "spe/checkpoint/checkpoint.h"
+#include "spe/common/crc32.h"
 #include "spe/common/fault.h"
 #include "spe/common/parallel.h"
 #include "spe/common/retry.h"
@@ -267,6 +269,78 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   WriteFile(log_path, log_bytes + "garbage from a torn append");
   loaded = checkpoint::LoadTrainerStateFromFile(path);
   EXPECT_TRUE(loaded.ok()) << loaded.error;
+  std::filesystem::remove_all(dir);
+}
+
+// Rewrites the checkpoint as one manifest record that vouches for
+// `log` (fresh log_bytes / log_crc pin and record CRC), so a member-log
+// edit gets past both checksums and reaches the member decoder.
+void ResealCheckpoint(const std::string& path, const std::string& log) {
+  const std::string manifest = ReadFile(path);
+  const std::size_t newest = manifest.rfind("spe-checkpoint ");
+  const std::size_t payload_start = manifest.find('\n', newest) + 1;
+  std::string payload = manifest.substr(payload_start);
+  const std::size_t pin = payload.find("log_bytes ");
+  char pin_line[64];
+  std::snprintf(pin_line, sizeof(pin_line), "log_bytes %zu log_crc %08x\n",
+                log.size(), Crc32(log));
+  payload.replace(pin, payload.find('\n', pin) + 1 - pin, pin_line);
+  char header[80];
+  std::snprintf(header, sizeof(header),
+                "spe-checkpoint 1 payload_bytes %zu crc32 %08x\n",
+                payload.size(), Crc32(payload));
+  WriteFile(path, header + payload);
+  WriteFile(checkpoint::MemberLogPath(path), log);
+}
+
+TEST(CheckpointEnvelopeTest, ResealedMemberLogMutantsAreRefused) {
+  const std::string dir = TempDir("resealed");
+  const Dataset data = OverlappingBlobs(120, 20, 3);
+  WriteRealCheckpoint(dir, data, 2);
+  const std::string path = checkpoint::CheckpointPath(dir);
+  const std::string manifest = ReadFile(path);
+  const std::string log = ReadFile(checkpoint::MemberLogPath(path));
+
+  // Resealing the untouched log must load: the refusals below are the
+  // member-log checks, not a bad seal.
+  ResealCheckpoint(path, log);
+  ASSERT_TRUE(checkpoint::LoadTrainerStateFromFile(path).ok());
+
+  // A record count no log could hold: bounded before any allocation.
+  const std::size_t record = log.find("member ");
+  ASSERT_NE(record, std::string::npos);
+  const std::size_t count_end = log.find('\n', record);
+  std::string huge_record = log;
+  huge_record.replace(record, count_end - record, "member 4000000000");
+  WriteFile(path, manifest);
+  ResealCheckpoint(path, huge_record);
+  checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
+  EXPECT_NE(loaded.error.find("bad member log record"), std::string::npos)
+      << loaded.error;
+
+  // A member or bootstrap blob whose tree claims more nodes than the
+  // blob holds: the model decoder's typed error refuses the checkpoint
+  // (the bootstrap blob would otherwise reach resume's replay).
+  for (const std::string kind : {"member ", "bootstrap "}) {
+    const std::size_t at = log.find(kind);
+    ASSERT_NE(at, std::string::npos) << kind;
+    const std::size_t size_end = log.find('\n', at);
+    const std::size_t blob = size_end + 1;
+    const std::size_t blob_size = std::stoul(
+        log.substr(at + kind.size(), size_end - at - kind.size()));
+    std::string model = log.substr(blob, blob_size);
+    const std::size_t nodes = model.find("nodes ");
+    ASSERT_NE(nodes, std::string::npos);
+    model.replace(nodes, model.find('\n', nodes) - nodes, "nodes 4000000000");
+    std::string mutant = log.substr(0, at);
+    mutant.append(kind).append(std::to_string(model.size()));
+    mutant.append("\n").append(model).append(log, blob + blob_size);
+    WriteFile(path, manifest);
+    ResealCheckpoint(path, mutant);
+    loaded = checkpoint::LoadTrainerStateFromFile(path);
+    EXPECT_NE(loaded.error.find("bad member log record"), std::string::npos)
+        << kind << loaded.error;
+  }
   std::filesystem::remove_all(dir);
 }
 

@@ -62,9 +62,11 @@ TEST(IntegrationTest, FullPipelineCsvToServedModel) {
 
   const std::string model_path =
       (std::filesystem::temp_directory_path() / "spe_integration.model").string();
-  SaveClassifierToFile(model, model_path);
-  const auto served = LoadClassifierFromFile(model_path);
-  const std::vector<double> served_probs = served->PredictProba(split.test);
+  SaveModelBundleToFile(model, split.test.num_features(), model_path);
+  const ModelBundle served = LoadModelBundleFromFile(model_path);
+  EXPECT_EQ(served.num_features, split.test.num_features());
+  const std::vector<double> served_probs =
+      served.model->PredictProba(split.test);
   for (std::size_t i = 0; i < probs.size(); ++i) {
     EXPECT_DOUBLE_EQ(probs[i], served_probs[i]);
   }

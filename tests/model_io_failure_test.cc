@@ -1,8 +1,9 @@
-// Failure-path tests for model_io bundle loading: legacy artifacts load
-// with a warning, integrity violations (truncation, bit rot) abort with
-// messages that name the real problem, the non-aborting probe reports
-// the same conditions as errors, and the v3 hardness-histogram line
-// round-trips byte-identically through save -> load -> re-save.
+// Failure-path tests for model_io bundle loading: unchecksummed legacy
+// artifacts are refused, integrity violations (truncation, bit rot)
+// abort the aborting loaders with messages that name the real problem,
+// the non-aborting decoder reports the same conditions as typed errors,
+// and the v3 hardness-histogram line round-trips byte-identically
+// through save -> load -> re-save.
 
 #include <cstdint>
 #include <filesystem>
@@ -51,49 +52,30 @@ std::string SaveBundleString(const Classifier& model) {
   return os.str();
 }
 
-TEST(ModelIoFailureTest, BareStreamLoadsWithChecksumWarning) {
+TEST(ModelIoFailureTest, BareStreamIsRefusedAsUnchecksummed) {
   auto model = TrainSpe(1);
   std::stringstream stream;
   SaveClassifier(*model, stream);
 
-  ::testing::internal::CaptureStderr();
-  ModelBundle bundle = LoadModelBundle(stream);
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-
-  EXPECT_NE(warning.find("without an integrity checksum"), std::string::npos)
-      << warning;
-  EXPECT_NE(warning.find("bare spe-model artifact"), std::string::npos)
-      << warning;
-  ASSERT_NE(bundle.model, nullptr);
-  EXPECT_EQ(bundle.format_version, 0);
-  EXPECT_EQ(bundle.num_features, 0u);  // bare streams carry no schema
-  EXPECT_TRUE(bundle.crc32_hex.empty());
-  EXPECT_TRUE(bundle.hardness_histogram.empty());
+  const DecodedBundle decoded = DecodeModelBundle(stream.str());
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_NE(decoded.message.find("bare spe-model stream"), std::string::npos)
+      << decoded.message;
+  EXPECT_EQ(decoded.bundle.model, nullptr);
 }
 
-TEST(ModelIoFailureTest, V1BundleLoadsWithWarningAndKeepsSchema) {
+TEST(ModelIoFailureTest, V1BundleIsRefusedAsUnchecksummed) {
   auto model = TrainSpe(2);
   std::ostringstream payload;
   SaveClassifier(*model, payload);
-  std::stringstream stream;
-  stream << "spe-bundle 1 num_features 2\n" << payload.str();
 
-  ::testing::internal::CaptureStderr();
-  ModelBundle bundle = LoadModelBundle(stream);
-  const std::string warning = ::testing::internal::GetCapturedStderr();
-
-  EXPECT_NE(warning.find("version-1 model bundle"), std::string::npos)
-      << warning;
-  ASSERT_NE(bundle.model, nullptr);
-  EXPECT_EQ(bundle.format_version, 1);
-  EXPECT_EQ(bundle.num_features, 2u);
-
-  const Dataset test = OverlappingBlobs(30, 10, 3);
-  const std::vector<double> expected = model->PredictProba(test);
-  const std::vector<double> restored = bundle.model->PredictProba(test);
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_DOUBLE_EQ(expected[i], restored[i]) << "row " << i;
-  }
+  const DecodedBundle decoded =
+      DecodeModelBundle("spe-bundle 1 num_features 2\n" + payload.str());
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_NE(decoded.message.find("unsupported bundle version"),
+            std::string::npos)
+      << decoded.message;
+  EXPECT_EQ(decoded.bundle.model, nullptr);
 }
 
 TEST(ModelIoFailureTest, CrcMismatchAbortsWithCorruptionMessage) {
@@ -122,43 +104,58 @@ TEST(ModelIoFailureTest, TruncatedPayloadAbortsWithTruncationMessage) {
   std::filesystem::remove(path);
 }
 
-TEST(ModelIoFailureTest, ProbeReportsEveryFailureWithoutAborting) {
+TEST(ModelIoFailureTest, DecoderReportsEveryFailureWithoutAborting) {
   auto model = TrainSpe(6);
   const std::string bytes = SaveBundleString(*model);
+  RetryPolicy fast;
+  fast.initial_backoff_ms = 1;
 
-  const std::string good = TempPath("probe_good.model");
+  const std::string good = TempPath("decode_good.model");
   WriteFile(good, bytes);
-  BundleProbe probe = ProbeModelBundleFile(good);
-  EXPECT_TRUE(probe.ok) << probe.error;
-  EXPECT_EQ(probe.format_version, 3);
-  EXPECT_EQ(probe.num_features, 2u);
-  EXPECT_GT(probe.payload_bytes, 0u);
-  EXPECT_EQ(probe.crc32_hex.size(), 8u);
-  EXPECT_TRUE(probe.has_hardness_histogram);
+  DecodedBundle decoded = DecodeModelBundleFile(good, fast);
+  ASSERT_TRUE(decoded.ok()) << decoded.message;
+  EXPECT_NE(decoded.bundle.model, nullptr);
+  EXPECT_EQ(decoded.bundle.format_version, 3);
+  EXPECT_EQ(decoded.bundle.num_features, 2u);
+  EXPECT_GT(decoded.bundle.payload_bytes, 0u);
+  EXPECT_EQ(decoded.bundle.crc32_hex.size(), 8u);
+  EXPECT_FALSE(decoded.bundle.hardness_histogram.empty());
 
-  probe = ProbeModelBundleFile(TempPath("probe_missing.model"));
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("cannot open"), std::string::npos);
+  decoded = DecodeModelBundleFile(TempPath("decode_missing.model"), fast);
+  EXPECT_EQ(decoded.error, ArtifactError::kIo);
+  EXPECT_NE(decoded.message.find("cannot open"), std::string::npos);
 
-  const std::string truncated = TempPath("probe_truncated.model");
+  const std::string truncated = TempPath("decode_truncated.model");
   WriteFile(truncated, bytes.substr(0, bytes.size() - 7));
-  probe = ProbeModelBundleFile(truncated);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("truncated"), std::string::npos) << probe.error;
+  decoded = DecodeModelBundleFile(truncated, fast);
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_NE(decoded.message.find("truncated"), std::string::npos)
+      << decoded.message;
 
   std::string corrupt_bytes = bytes;
   corrupt_bytes[corrupt_bytes.size() - 2] ^= 0x01;
-  const std::string corrupt = TempPath("probe_corrupt.model");
+  const std::string corrupt = TempPath("decode_corrupt.model");
   WriteFile(corrupt, corrupt_bytes);
-  probe = ProbeModelBundleFile(corrupt);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_NE(probe.error.find("corrupted"), std::string::npos) << probe.error;
+  decoded = DecodeModelBundleFile(corrupt, fast);
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_NE(decoded.message.find("corrupted"), std::string::npos)
+      << decoded.message;
 
-  const std::string garbage = TempPath("probe_garbage.model");
+  const std::string garbage = TempPath("decode_garbage.model");
   WriteFile(garbage, "hello world\n");
-  probe = ProbeModelBundleFile(garbage);
-  EXPECT_FALSE(probe.ok);
-  EXPECT_FALSE(probe.error.empty());
+  decoded = DecodeModelBundleFile(garbage, fast);
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_FALSE(decoded.message.empty());
+
+  // An injected read fault that outlives the retries is its own kind,
+  // so a chaos run never masquerades as a broken disk.
+  FaultConfig faults;
+  faults.artifact_read_fail_rate = 1.0;
+  Faults().Configure(faults);
+  decoded = DecodeModelBundleFile(good, fast);
+  Faults().Reset();
+  EXPECT_EQ(decoded.error, ArtifactError::kFault);
+  EXPECT_NE(decoded.message.find("injected fault"), std::string::npos);
 
   for (const std::string& p : {good, truncated, corrupt, garbage}) {
     std::filesystem::remove(p);

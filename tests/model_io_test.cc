@@ -128,11 +128,11 @@ TEST(ModelIoTest, FileRoundTrip) {
   tree.Fit(SeparableBlobs(60, 60, 17));
   const std::string path =
       (std::filesystem::temp_directory_path() / "spe_model_test.txt").string();
-  SaveClassifierToFile(tree, path);
-  const auto loaded = LoadClassifierFromFile(path);
+  SaveModelBundleToFile(tree, 2, path);
+  const ModelBundle loaded = LoadModelBundleFromFile(path);
   const Dataset test = SeparableBlobs(20, 20, 18);
   const auto a = tree.PredictProba(test);
-  const auto b = loaded->PredictProba(test);
+  const auto b = loaded.model->PredictProba(test);
   for (std::size_t i = 0; i < a.size(); ++i) EXPECT_DOUBLE_EQ(a[i], b[i]);
   std::remove(path.c_str());
 }
@@ -204,32 +204,34 @@ TEST(ModelBundleTest, FileRoundTripAndNoTmpLeftBehind) {
   std::remove(path.c_str());
 }
 
-TEST(ModelBundleTest, LegacyBareModelLoadsWithDefaultSchema) {
+TEST(ModelBundleTest, LegacyBareModelIsRefused) {
   const DecisionTree tree = TrainedTree(25);
   std::stringstream stream;
   SaveClassifier(tree, stream);  // pre-bundle artifact: no header at all
-  ModelBundle bundle = LoadModelBundle(stream);
-  EXPECT_EQ(bundle.num_features, 0u);  // unknown; caller must supply
-  ASSERT_NE(bundle.model, nullptr);
+  const DecodedBundle decoded = DecodeModelBundle(stream.str());
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_EQ(decoded.bundle.model, nullptr);
 }
 
-TEST(ModelBundleTest, LegacyV1BundleLoadsWithoutChecksum) {
+TEST(ModelBundleTest, LegacyV1BundleIsRefused) {
   const DecisionTree tree = TrainedTree(26);
   std::stringstream payload;
   SaveClassifier(tree, payload);
-  std::stringstream stream("spe-bundle 1 num_features 2 " + payload.str());
-  ModelBundle bundle = LoadModelBundle(stream);
-  EXPECT_EQ(bundle.num_features, 2u);
-  ASSERT_NE(bundle.model, nullptr);
-  // LoadClassifier must also skip a v1 header.
+  const DecodedBundle decoded =
+      DecodeModelBundle("spe-bundle 1 num_features 2 " + payload.str());
+  EXPECT_EQ(decoded.error, ArtifactError::kCorrupt);
+  EXPECT_NE(decoded.message.find("unsupported bundle version"),
+            std::string::npos)
+      << decoded.message;
+  // LoadClassifier reads bare spe-model streams only.
   std::stringstream again("spe-bundle 1 num_features 2 " + payload.str());
-  EXPECT_NE(LoadClassifier(again), nullptr);
+  EXPECT_THROW(DecodeClassifier(again), ModelFormatError);
 }
 
-TEST(ModelBundleTest, LoadClassifierSkipsV2Header) {
+TEST(ModelBundleTest, LoadClassifierRefusesV2Header) {
   const DecisionTree tree = TrainedTree(27);
   std::stringstream stream(BundleText(tree, 2));
-  EXPECT_NE(LoadClassifier(stream), nullptr);
+  EXPECT_THROW(DecodeClassifier(stream), ModelFormatError);
 }
 
 TEST(ModelBundleDeathTest, TruncatedPayloadIsRejected) {

@@ -3,8 +3,7 @@
 #   1. train a tiny model bundle with spe_cli
 #   2. corrupted / truncated artifacts must be rejected with a clear error
 #      and the corrupt-artifact exit code (4, spe/common/exit_codes.h)
-#   3. a legacy (headerless) artifact still serves, with a warning,
-#      given --num-features
+#   3. a headerless (bare spe-model) artifact is refused with exit 4
 #   4. SPE_FAULTS=score_delay_ms + --default-deadline-ms: every request
 #      expires in the queue and comes back DEADLINE_EXCEEDED, unscored
 #   5. SPE_FAULTS=score_delay_ms + watermark flags: backlog builds behind
@@ -12,6 +11,9 @@
 #   6. flag-parsing hardening: duplicate flags and garbage values are
 #      usage errors, not silently misread config; a missing data file is
 #      an I/O error (3) and a malformed one a corrupt input (4)
+#   7. field-mutated artifacts (payload edits resealed with a fresh
+#      CRC-32) are refused: spe_cli exits 4, and a live spe_serve answers
+#      `ERR reload failed` and scores the next row exactly as before
 
 foreach(var SPE_CLI SPE_SERVE WORK_DIR)
   if(NOT DEFINED ${var})
@@ -88,30 +90,29 @@ if(NOT err MATCHES "model artifact truncated")
   message(FATAL_ERROR "truncation not reported clearly: ${err}")
 endif()
 
-# ---- 3. legacy headerless artifact loads with a warning ---------------
+# ---- 3. headerless artifact is refused ---------------------------------
 # Stripping the header lines (the bundle header plus the v3
 # hardness_histogram line) leaves a bare spe-model stream, the
-# pre-bundle artifact shape.
+# pre-bundle artifact shape: it carries no checksum, so it is refused.
 string(FIND "${artifact}" "\n" eol)
 math(EXPR after_header "${eol} + 1")
+string(SUBSTRING "${artifact}" 0 ${after_header} header_line)
 string(SUBSTRING "${artifact}" ${after_header} -1 tail)
 string(FIND "${tail}" "\n" eol2)
-math(EXPR payload_start "${after_header} + ${eol2} + 1")
-string(SUBSTRING "${artifact}" ${payload_start} -1 legacy)
-file(WRITE ${dir}/legacy.model "${legacy}")
+math(EXPR histogram_len "${eol2} + 1")
+string(SUBSTRING "${tail}" 0 ${histogram_len} histogram_line)
+string(SUBSTRING "${tail}" ${histogram_len} -1 payload)
+file(WRITE ${dir}/legacy.model "${payload}")
 
 execute_process(
-  COMMAND ${SPE_SERVE} --model ${dir}/legacy.model --num-features 2 --stdio
+  COMMAND ${SPE_SERVE} --model ${dir}/legacy.model --stdio
   INPUT_FILE ${dir}/one_row.txt
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "legacy artifact failed to serve (${rc}): ${err}")
+if(NOT rc EQUAL 4)
+  message(FATAL_ERROR "headerless artifact must exit 4, got ${rc}: ${out}")
 endif()
-if(NOT out MATCHES "^[0-9.eE+-]+")
-  message(FATAL_ERROR "legacy artifact gave no score: ${out}")
-endif()
-if(NOT err MATCHES "without an integrity checksum")
-  message(FATAL_ERROR "legacy load did not warn: ${err}")
+if(NOT err MATCHES "bare spe-model stream")
+  message(FATAL_ERROR "headerless artifact not reported clearly: ${err}")
 endif()
 
 # ---- 4. injected scoring delay expires queued deadlines ---------------
@@ -213,6 +214,119 @@ execute_process(
   RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
 if(NOT rc EQUAL 4 OR NOT err MATCHES "malformed.csv:3: field 1: not a number")
   message(FATAL_ERROR "malformed CSV must exit 4 (corrupt): rc=${rc} ${err}")
+endif()
+
+# ---- 7. field-mutated artifacts are refused ---------------------------
+# CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320), so a payload edit
+# can be resealed and reach the decoder's field checks instead of
+# stopping at the checksum.
+function(crc32_hex text out_var)
+  string(HEX "${text}" hex)
+  string(LENGTH "${hex}" n)
+  set(crc 4294967295)
+  set(i 0)
+  while(i LESS n)
+    string(SUBSTRING "${hex}" ${i} 2 byte)
+    math(EXPR crc "${crc} ^ 0x${byte}")
+    foreach(bit RANGE 7)
+      math(EXPR crc "(${crc} >> 1) ^ (3988292384 & -(${crc} & 1))")
+    endforeach()
+    math(EXPR i "${i} + 2")
+  endwhile()
+  math(EXPR crc "${crc} ^ 4294967295" OUTPUT_FORMAT HEXADECIMAL)
+  string(SUBSTRING "${crc}" 2 -1 digits)
+  string(TOLOWER "${digits}" digits)
+  string(LENGTH "${digits}" len)
+  while(len LESS 8)
+    string(PREPEND digits "0")
+    math(EXPR len "${len} + 1")
+  endwhile()
+  set(${out_var} ${digits} PARENT_SCOPE)
+endfunction()
+
+# Writes the artifact's header lines over `body`, with payload_bytes and
+# crc32 fitted to it.
+function(write_sealed path body)
+  string(LENGTH "${body}" size)
+  crc32_hex("${body}" crc)
+  string(REGEX REPLACE "payload_bytes [0-9]+ crc32 [0-9a-f]+"
+    "payload_bytes ${size} crc32 ${crc}" head "${header_line}")
+  file(WRITE ${path} "${head}${histogram_line}${body}")
+endfunction()
+
+# Header fields outside the CRC: no reseal needed to reach the decoder.
+string(REGEX REPLACE "payload_bytes [0-9]+" "payload_bytes 900000000000"
+  mutant "${artifact}")
+file(WRITE ${dir}/mut_payload_bytes.model "${mutant}")
+string(REGEX REPLACE "^hardness_histogram [0-9]+"
+  "hardness_histogram 4000000000" mutant "${histogram_line}")
+file(WRITE ${dir}/mut_histogram.model "${header_line}${mutant}${payload}")
+
+# Payload edits of the first tree, resealed: its node count, and its
+# root split's feature and left child.
+string(FIND "${payload}" "nodes " nodes_at)
+string(SUBSTRING "${payload}" 0 ${nodes_at} before_nodes)
+string(SUBSTRING "${payload}" ${nodes_at} -1 from_nodes)
+string(FIND "${from_nodes}" "\n" count_end)
+string(SUBSTRING "${from_nodes}" ${count_end} -1 after_count)
+write_sealed(${dir}/mut_nodes.model
+  "${before_nodes}nodes 4000000000${after_count}")
+string(SUBSTRING "${after_count}" 1 -1 from_root)
+string(FIND "${from_root}" "\n" root_len)
+string(SUBSTRING "${from_root}" 0 ${root_len} root_line)
+string(SUBSTRING "${from_root}" ${root_len} -1 after_root)
+string(SUBSTRING "${from_nodes}" 0 ${count_end} count_line)
+set(before_root "${before_nodes}${count_line}\n")
+if(NOT root_line MATCHES "^([0-9]+) ([^ ]+) ([0-9]+) ([0-9]+) ([^ ]+)$")
+  message(FATAL_ERROR "root of the first tree is not a split: ${root_line}")
+endif()
+set(threshold ${CMAKE_MATCH_2})
+set(left ${CMAKE_MATCH_3})
+set(right ${CMAKE_MATCH_4})
+set(value ${CMAKE_MATCH_5})
+write_sealed(${dir}/mut_child.model
+  "${before_root}${CMAKE_MATCH_1} ${threshold} 99999 ${right} ${value}${after_root}")
+write_sealed(${dir}/mut_feature.model
+  "${before_root}7 ${threshold} ${left} ${right} ${value}${after_root}")
+# Sanity: resealing the untouched payload reproduces the artifact, so
+# the refusals below are the decoder's field checks, not a bad seal.
+write_sealed(${dir}/resealed.model "${payload}")
+file(READ ${dir}/resealed.model resealed)
+if(NOT resealed STREQUAL artifact)
+  message(FATAL_ERROR "resealing the unmutated payload changed the artifact")
+endif()
+
+set(mutants payload_bytes histogram nodes child feature)
+foreach(m IN LISTS mutants)
+  foreach(cmd predict inspect)
+    execute_process(
+      COMMAND ${SPE_CLI} ${cmd} --model ${dir}/mut_${m}.model
+        --data ${dir}/train.csv --no-cache
+      RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    if(NOT rc EQUAL 4)
+      message(FATAL_ERROR "spe_cli ${cmd} of mutant ${m}: exit ${rc}, not 4")
+    endif()
+  endforeach()
+endforeach()
+
+# A live server refuses every mutant and keeps scoring on the old model.
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio
+  INPUT_FILE ${dir}/one_row.txt OUTPUT_VARIABLE score)
+set(session "1.5,0.25\n")
+set(expected "${score}")
+foreach(m IN LISTS mutants)
+  string(APPEND session "!reload ${dir}/mut_${m}.model\n1.5,0.25\n")
+  string(APPEND expected "ERR reload failed\n${score}")
+endforeach()
+file(WRITE ${dir}/mutant_session.txt "${session}")
+execute_process(
+  COMMAND ${SPE_SERVE} --model ${dir}/m.model --stdio
+  INPUT_FILE ${dir}/mutant_session.txt
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+string(REGEX REPLACE "ERR reload failed[^\n]*" "ERR reload failed" out "${out}")
+if(NOT rc EQUAL 0 OR NOT out STREQUAL expected)
+  message(FATAL_ERROR "mutant reloads (rc ${rc}):\n${out}\nexpected:\n${expected}")
 endif()
 
 message(STATUS "serve fault-injection pipeline ok")

@@ -29,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "spe/checkpoint/checkpoint.h"
@@ -289,26 +290,38 @@ int Train(const Options& options) {
   return 0;
 }
 
-// Probes `path` and returns the taxonomy exit code for a broken
-// artifact, or 0 when it is loadable. Commands probe before loading so
-// a corrupt file becomes a classified exit instead of an abort.
-int ProbeArtifactOrExitCode(const std::string& path) {
-  const spe::BundleProbe probe = spe::ProbeModelBundleFile(path);
-  if (probe.ok) return 0;
-  std::fprintf(stderr, "error: %s\n", probe.error.c_str());
-  return spe::ClassifyArtifactErrorExit(probe.error);
+// Decodes --model once (one read, one checksum). A refused artifact
+// exits with its taxonomy code: 3 I/O, 4 corrupt, 5 injected fault.
+spe::ModelBundle LoadArtifactOrExit(const std::string& path) {
+  spe::DecodedBundle decoded = spe::DecodeModelBundleFile(path);
+  if (!decoded.ok()) {
+    std::fprintf(stderr, "error: %s\n", decoded.message.c_str());
+    std::exit(spe::ClassifyArtifactErrorExit(decoded.error));
+  }
+  return std::move(decoded.bundle);
+}
+
+// Rows of another width than the model's schema would be read past
+// their end (or only in part), so they are refused before scoring.
+void RequireSchemaWidth(const spe::ModelBundle& bundle,
+                        const spe::Dataset& data) {
+  if (data.num_features() == bundle.num_features) return;
+  const std::string message =
+      "--data has " + std::to_string(data.num_features()) +
+      " features but the model expects " +
+      std::to_string(bundle.num_features);
+  Usage(message.c_str());
 }
 
 int Predict(const Options& options) {
   const std::string model_path = options.Get("model", "");
   if (model_path.empty()) Usage("predict requires --model");
-  if (const int rc = ProbeArtifactOrExitCode(model_path)) return rc;
+  spe::ModelBundle bundle = LoadArtifactOrExit(model_path);
   const spe::Dataset data = LoadData(options);
-  auto model = spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + model_path,
-                                     [&] { return spe::LoadClassifierFromFile(model_path); });
+  RequireSchemaWidth(bundle, data);
   // Offline scoring goes through the same batching engine as spe_serve,
   // so there is exactly one dispatch path to keep bit-identical.
-  spe::BatchScorer scorer(std::move(model), data.num_features());
+  spe::BatchScorer scorer(std::move(bundle.model), data.num_features());
   const std::vector<double> probs = scorer.ScoreBatch(data);
   const bool scores_only = options.flags.count("scores-only") > 0;
   const double threshold = options.GetDouble("threshold", 0.5);
@@ -325,12 +338,10 @@ int Predict(const Options& options) {
 int EvaluateCommand(const Options& options) {
   const std::string model_path = options.Get("model", "");
   if (model_path.empty()) Usage("evaluate requires --model");
-  if (const int rc = ProbeArtifactOrExitCode(model_path)) return rc;
+  const spe::ModelBundle bundle = LoadArtifactOrExit(model_path);
   const spe::Dataset data = LoadData(options);
-  const auto model = spe::RetryWithBackoff(
-      spe::RetryPolicy{}, "load " + model_path,
-      [&] { return spe::LoadClassifierFromFile(model_path); });
-  const std::vector<double> probs = model->PredictProba(data);
+  RequireSchemaWidth(bundle, data);
+  const std::vector<double> probs = bundle.model->PredictProba(data);
   PrintScores("test", spe::Evaluate(data.labels(), probs,
                                     options.GetDouble("threshold", 0.5)));
   const spe::ThresholdSearchResult best =
@@ -392,31 +403,15 @@ int InspectCommand(const Options& options) {
     return InspectSidecarReport(options);
   }
   if (model_path.empty()) Usage("inspect requires --model or --data");
-  // Probe first: inspect must describe a broken artifact (that is when
-  // an operator reaches for it), not abort on it.
-  if (const int rc = ProbeArtifactOrExitCode(model_path)) return rc;
-  spe::ModelBundle bundle =
-      spe::RetryWithBackoff(spe::RetryPolicy{}, "load " + model_path, [&] {
-        return spe::LoadModelBundleFromFile(model_path);
-      });
+  // The decoder refuses a broken artifact with a classified exit
+  // instead of aborting: inspect is what an operator reaches for then.
+  const spe::ModelBundle bundle = LoadArtifactOrExit(model_path);
   std::printf("artifact:      %s\n", model_path.c_str());
-  if (bundle.format_version == 0) {
-    std::printf("format:        spe-model (bare stream, no schema header)\n");
-  } else {
-    std::printf("format:        spe-bundle v%d\n", bundle.format_version);
-  }
+  std::printf("format:        spe-bundle v%d\n", bundle.format_version);
   std::printf("model:         %s\n", bundle.model->Name().c_str());
-  if (bundle.num_features > 0) {
-    std::printf("num_features:  %zu\n", bundle.num_features);
-  } else {
-    std::printf("num_features:  unknown (serve with --num-features)\n");
-  }
-  if (bundle.format_version >= 2) {
-    std::printf("payload_bytes: %zu\n", bundle.payload_bytes);
-    std::printf("crc32:         %s (verified)\n", bundle.crc32_hex.c_str());
-  } else {
-    std::printf("crc32:         none (legacy artifact; re-save to upgrade)\n");
-  }
+  std::printf("num_features:  %zu\n", bundle.num_features);
+  std::printf("payload_bytes: %zu\n", bundle.payload_bytes);
+  std::printf("crc32:         %s (verified)\n", bundle.crc32_hex.c_str());
   std::printf("kernel:        %s\n", spe::kernels::ActiveKernel(*bundle.model));
   if (const auto* voting =
           dynamic_cast<const spe::VotingEnsembleModel*>(bundle.model.get())) {

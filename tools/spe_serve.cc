@@ -1,7 +1,7 @@
 // spe_serve — online scoring server over a saved model.
 //
 //   spe_serve --model FILE [--stdio | --port P] [--host ADDR]
-//             [--num-features F] [--max-batch N] [--max-delay-us U]
+//             [--max-batch N] [--max-delay-us U]
 //             [--workers W] [--queue-capacity C] [--overflow block|shed]
 //             [--default-deadline-ms D] [--degrade-high H --degrade-low L
 //              --degrade-prefix K] [--max-connections M]
@@ -29,13 +29,14 @@
 // Model lifecycle: the scorer serves through a versioned model registry
 // (spe/lifecycle/model_registry.h). A `!reload [PATH]` protocol line or
 // a SIGHUP hot-swaps the served model: the candidate artifact is
-// probed, loaded and kernel-compiled on a dedicated lifecycle thread,
-// then atomically activated — in-flight requests finish on the old
-// version, no request is dropped, and a bad candidate is refused with
-// an ERR line while the old model keeps serving. --shadow loads a
-// second version that re-scores a sample of live batches for
-// prediction diffing, and models saved with a training hardness
-// histogram (v3 bundles) get live drift detection (docs/lifecycle.md).
+// decoded (read and checksummed once) and kernel-compiled on a
+// dedicated lifecycle thread, then atomically activated — in-flight
+// requests finish on the old version, no request is dropped, and a bad
+// candidate is refused with an ERR line while the old model keeps
+// serving. --shadow loads a second version that re-scores a sample of
+// live batches for prediction diffing, and models saved with a
+// training hardness histogram (v3 bundles) get live drift detection
+// (docs/lifecycle.md).
 //
 // Shutdown drains: on SIGINT/SIGTERM (or stdin EOF) the listener stops
 // accepting, connections stop reading, every accepted request is still
@@ -92,8 +93,6 @@ namespace {
       "  --stdio               serve one session on stdin/stdout\n"
       "  --port P              listen for TCP connections on port P\n"
       "  --host ADDR           bind address (default 127.0.0.1)\n"
-      "  --num-features F      row width for legacy artifacts whose file\n"
-      "                        has no schema header (bundles carry it)\n"
       "  --max-batch N         rows per model dispatch (default 256)\n"
       "  --max-delay-us U      micro-batch fill deadline (default 200)\n"
       "  --workers W           scoring threads (default: hardware)\n"
@@ -241,10 +240,9 @@ void SignalWaitLoop() {
 class ReloadCoordinator {
  public:
   ReloadCoordinator(std::shared_ptr<spe::lifecycle::ModelRegistry> registry,
-                    std::string default_path, std::size_t fallback_width)
+                    std::string default_path)
       : registry_(std::move(registry)),
         default_path_(std::move(default_path)),
-        fallback_width_(fallback_width),
         reloads_total_(spe::obs::MetricsRegistry::Global().GetCounter(
             "spe_lifecycle_reloads_total")),
         reload_failures_total_(spe::obs::MetricsRegistry::Global().GetCounter(
@@ -331,7 +329,7 @@ class ReloadCoordinator {
 
   std::string Reload(const std::string& path) {
     spe::lifecycle::ModelRegistry::LoadResult result =
-        registry_->LoadFromFile(path, fallback_width_);
+        registry_->LoadFromFile(path);
     if (!result.ok()) {
       reload_failures_total_.Add();
       return "ERR reload failed: " + result.error;
@@ -350,7 +348,6 @@ class ReloadCoordinator {
 
   const std::shared_ptr<spe::lifecycle::ModelRegistry> registry_;
   const std::string default_path_;
-  const std::size_t fallback_width_;
   spe::obs::Counter& reloads_total_;
   spe::obs::Counter& reload_failures_total_;
 
@@ -635,7 +632,7 @@ int main(int argc, char** argv) {
   // Every flag this binary reads; anything else is a usage error rather
   // than a silently ignored typo or a knob this build no longer has.
   static const std::set<std::string> kKnownFlags = {
-      "model", "stdio", "port", "host", "num-features", "max-batch",
+      "model", "stdio", "port", "host", "max-batch",
       "max-delay-us", "workers", "queue-capacity", "overflow",
       "default-deadline-ms", "degrade-high", "degrade-low", "degrade-prefix",
       "max-connections", "stats-interval-ms", "metrics-dump", "shadow",
@@ -716,23 +713,14 @@ int main(int argc, char** argv) {
   drift.min_samples = static_cast<std::uint64_t>(
       GetIntFlag(flags, "drift-min-count", 512, 1, 1L << 40));
 
-  // Bundles (spe_cli train output) record the row width; bare spe-model
-  // artifacts predate the header and need --num-features.
-  const long num_features_flag =
-      GetIntFlag(flags, "num-features", 0, 1, 1 << 24);
-  const std::size_t fallback_width =
-      num_features_flag > 0 ? static_cast<std::size_t>(num_features_flag) : 0;
-
+  // The artifact's header carries the row width the server enforces.
   auto registry = std::make_shared<spe::lifecycle::ModelRegistry>(drift);
   {
-    const auto loaded = registry->LoadFromFile(model_path, fallback_width);
+    const auto loaded = registry->LoadFromFile(model_path);
     if (!loaded.ok()) {
-      if (loaded.error.find("no schema header") != std::string::npos) {
-        Usage("model artifact has no schema header; pass --num-features");
-      }
       std::fprintf(stderr, "error: cannot load --model %s: %s\n",
                    model_path.c_str(), loaded.error.c_str());
-      return spe::ClassifyArtifactErrorExit(loaded.error);
+      return spe::ClassifyArtifactErrorExit(loaded.error_kind);
     }
     const std::string error = registry->Activate(loaded.version);
     if (!error.empty()) {
@@ -742,11 +730,11 @@ int main(int argc, char** argv) {
   }
   const std::string shadow_path = get("shadow", "");
   if (!shadow_path.empty()) {
-    const auto loaded = registry->LoadFromFile(shadow_path, fallback_width);
+    const auto loaded = registry->LoadFromFile(shadow_path);
     if (!loaded.ok()) {
       std::fprintf(stderr, "error: cannot load --shadow %s: %s\n",
                    shadow_path.c_str(), loaded.error.c_str());
-      return spe::ClassifyArtifactErrorExit(loaded.error);
+      return spe::ClassifyArtifactErrorExit(loaded.error_kind);
     }
     if (loaded.version->num_features() !=
         registry->active()->num_features()) {
@@ -761,7 +749,7 @@ int main(int argc, char** argv) {
   }
 
   spe::BatchScorer scorer(registry, config);
-  ReloadCoordinator reloader(registry, model_path, fallback_width);
+  ReloadCoordinator reloader(registry, model_path);
   const long interval_ms =
       GetIntFlag(flags, "stats-interval-ms", use_stdio ? 0 : 10000, 0,
                  86'400'000);
