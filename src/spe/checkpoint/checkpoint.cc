@@ -74,9 +74,13 @@ std::string BuildMemberLog(const std::string& bootstrap_blob,
 }
 
 // Parses the log prefix the manifest vouched for. The CRC already
-// matched, so a failure here means a writer/reader bug, not bit rot —
-// but stay non-aborting and report it like any other corruption.
-bool ParseMemberLog(const std::string& log, LoadResult* result) {
+// matched, so a failure here means a writer/reader bug or a resealed
+// edit, not bit rot — stay non-aborting and report it like any other
+// corruption. Every blob decodes against the resuming data's width: the
+// checkpoint records none, and a split feature past it would be read
+// out of bounds on replay.
+bool ParseMemberLog(const std::string& log, std::size_t num_features,
+                    LoadResult* result) {
   std::istringstream is(log);
   bool first = true;
   while (static_cast<std::size_t>(is.tellg()) < log.size()) {
@@ -92,7 +96,7 @@ bool ParseMemberLog(const std::string& log, LoadResult* result) {
     std::unique_ptr<Classifier> model;
     try {
       std::istringstream blob_in(blob);
-      model = DecodeClassifier(blob_in);
+      model = DecodeClassifier(blob_in, num_features);
     } catch (const ModelFormatError&) {
       return false;
     }
@@ -431,6 +435,7 @@ void AsyncCheckpointPublisher::Loop() {
 }
 
 LoadResult LoadTrainerStateFromFile(const std::string& path,
+                                    std::size_t num_features,
                                     const RetryPolicy& retry) {
   LoadResult result;
   bool absent = false;
@@ -537,7 +542,7 @@ LoadResult LoadTrainerStateFromFile(const std::string& path,
     result.error = "checkpoint member log corrupted: crc32 mismatch";
     return result;
   }
-  if (!ParseMemberLog(log, &result)) {
+  if (!ParseMemberLog(log, num_features, &result)) {
     result.error = "checkpoint payload malformed: bad member log record";
   }
   return result;

@@ -126,9 +126,13 @@ void SaveTrainerStateToFile(const TrainerStateCore& core,
 /// version, payload length, CRC-32 per record), settles on the newest
 /// complete valid one — a torn tail falls back, a CRC-bad complete
 /// record is refused — then validates the member-log prefix that record
-/// vouches for (length + CRC-32) and parses both. Transient read
-/// failures retry under `retry`; exhaustion throws TransientIoError.
+/// vouches for (length + CRC-32) and parses both. Member and bootstrap
+/// blobs decode against `num_features`, the width of the data being
+/// resumed: a model that reads past it refuses the checkpoint. Transient
+/// read failures retry under `retry`; exhaustion throws
+/// TransientIoError.
 LoadResult LoadTrainerStateFromFile(const std::string& path,
+                                    std::size_t num_features,
                                     const RetryPolicy& retry = {});
 
 /// Incremental checkpoint publisher for one training run. Two ideas

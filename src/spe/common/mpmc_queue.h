@@ -16,8 +16,8 @@ namespace spe {
 /// Bounded multi-producer / multi-consumer queue built for micro-batch
 /// serving: consumers pop *batches*, waiting a bounded time for the
 /// batch to fill once the first item arrives. Producers choose their
-/// backpressure policy per call — Push blocks while the queue is full,
-/// TryPush sheds instead.
+/// backpressure policy per call — PushKeep blocks while the queue is
+/// full, TryPushKeep sheds instead; both hand a refused item back.
 ///
 /// Close() makes the queue drainable: further pushes fail, but items
 /// already accepted remain poppable, and PopBatch returns them until
@@ -39,33 +39,10 @@ class BoundedQueue {
   BoundedQueue(const BoundedQueue&) = delete;
   BoundedQueue& operator=(const BoundedQueue&) = delete;
 
-  /// Blocks while the queue is full. Returns false (and drops `item`)
-  /// only if the queue is closed.
-  bool Push(T item) {
-    std::unique_lock<std::mutex> lock(mu_);
-    not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
-    if (closed_) return false;
-    items_.push_back(std::move(item));
-    lock.unlock();
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Non-blocking push: returns false when full or closed (load
-  /// shedding — the caller owns telling the client "try later").
-  bool TryPush(T item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  /// Like Push, but leaves `item` intact when the queue refuses it, so
-  /// callers can recover move-only payloads (completion callbacks,
-  /// pooled buffers) instead of losing them inside the call.
+  /// Blocks while the queue is full. Returns false only if the queue is
+  /// closed, and then leaves `item` intact, so callers can recover
+  /// move-only payloads (completion callbacks, pooled buffers) instead of
+  /// losing them inside the call.
   bool PushKeep(T& item) {
     std::unique_lock<std::mutex> lock(mu_);
     not_full_.wait(lock, [&] { return items_.size() < capacity_ || closed_; });
@@ -76,7 +53,9 @@ class BoundedQueue {
     return true;
   }
 
-  /// Like TryPush, but leaves `item` intact on refusal.
+  /// Non-blocking push: returns false when full or closed (load
+  /// shedding — the caller owns telling the client "try later"), leaving
+  /// `item` intact.
   bool TryPushKeep(T& item) {
     {
       std::lock_guard<std::mutex> lock(mu_);

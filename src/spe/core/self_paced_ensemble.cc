@@ -228,7 +228,8 @@ void SelfPacedEnsemble::Fit(const DatasetView& train) {
 
   if (checkpointing && checkpoint_.resume) {
     checkpoint::LoadResult loaded =
-        checkpoint::LoadTrainerStateFromFile(checkpoint_path);
+        checkpoint::LoadTrainerStateFromFile(checkpoint_path,
+                                             train.num_features());
     if (loaded.missing) {
       std::fprintf(stderr, "[spe] no checkpoint at %s; training from scratch\n",
                    checkpoint_path.c_str());
@@ -496,7 +497,7 @@ std::string SelfPacedEnsemble::ValidateLoadedState(
 std::string SelfPacedEnsemble::CheckResumable(const DatasetView& train) const {
   if (checkpoint_.directory.empty()) return "";
   const checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
-      checkpoint::CheckpointPath(checkpoint_.directory));
+      checkpoint::CheckpointPath(checkpoint_.directory), train.num_features());
   if (loaded.missing) return "";
   std::uint64_t data_fp = checkpoint::DatasetFingerprint(train);
   if (validation_tracker_ != nullptr) {

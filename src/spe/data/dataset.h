@@ -12,6 +12,11 @@
 
 namespace spe {
 
+/// Widest schema accepted from outside input (an artifact header, a
+/// LIBSVM file's largest index). Rows are sized by the schema width, so
+/// a corrupt count must not be able to ask for more.
+inline constexpr std::size_t kMaxNumFeatures = std::size_t{1} << 24;
+
 /// One feature column of a dataset: a contiguous slice over every row's
 /// value plus the column's kind. This is the zero-copy currency of
 /// per-feature passes (binner quantiles, scaler moments, split finding).

@@ -28,7 +28,7 @@ std::string_view NextToken(std::string_view line, std::size_t& pos) {
   return line.substr(start, pos - start);
 }
 
-SparseRow ParseLine(std::string_view line, const std::string& path,
+SparseRow ParseLine(std::string_view line, std::size_t width,
                     const TextLineReader& reader) {
   SparseRow row;
   std::size_t pos = 0;
@@ -54,8 +54,14 @@ SparseRow ParseLine(std::string_view line, const std::string& path,
       reader.Fail(std::string("feature index: ") + reason + " " +
                   QuoteField(token));
     }
-    SPE_CHECK_GE(index, 1) << path << ":" << reader.line_number()
-                           << ": LIBSVM indices are 1-based";
+    if (index < 1) {
+      reader.Fail("feature index below 1 (LIBSVM indices are 1-based) " +
+                  QuoteField(token));
+    }
+    if (index > static_cast<long long>(width)) {
+      reader.Fail("feature index above the width " + std::to_string(width) +
+                  " " + QuoteField(token));
+    }
     double value = 0.0;
     if (const char* reason = ParseNumberField(token.substr(colon + 1), &value)) {
       reader.Fail(std::string("feature value: ") + reason + " " +
@@ -86,7 +92,8 @@ Dataset LoadLibsvm(const std::string& path, std::size_t num_features) {
   std::string_view line;
   while (reader.Next(&line)) {
     if (line.empty() || line[0] == '#') continue;
-    rows.push_back(ParseLine(line, path, reader));
+    rows.push_back(ParseLine(
+        line, num_features > 0 ? num_features : kMaxNumFeatures, reader));
     for (const auto& [index, value] : rows.back().entries) {
       max_index = std::max(max_index, index + 1);
     }
@@ -95,8 +102,6 @@ Dataset LoadLibsvm(const std::string& path, std::size_t num_features) {
   SPE_CHECK(!rows.empty()) << path << ": no data rows";
 
   const std::size_t width = num_features > 0 ? num_features : max_index;
-  SPE_CHECK_GE(width, max_index)
-      << path << ": num_features smaller than the largest feature index";
 
   Dataset data(width);
   data.Reserve(rows.size());

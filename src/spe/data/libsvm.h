@@ -19,8 +19,8 @@ namespace spe {
 /// lines and lines starting with '#' are skipped, and a token starting
 /// with '#' ends a row. Labels, indices and values follow the CSV field
 /// grammar (csv.h): a malformed one, or a label outside those above,
-/// throws DataFormatError with "path:line". An index below 1 or above
-/// `num_features` aborts (CHECK).
+/// throws DataFormatError with "path:line", and so does an index below 1
+/// or above `num_features` (above 2^24 when the width is inferred).
 Dataset LoadLibsvm(const std::string& path, std::size_t num_features = 0);
 
 /// Writes `data` in LIBSVM format (zero values are omitted, per the

@@ -43,9 +43,6 @@ constexpr char kBundleMagic[] = "spe-bundle";
 // lifecycle layer. Both load; version 1 bundles and bare spe-model files
 // carried no checksum and are refused.
 constexpr int kBundleVersion = 3;
-// Widest schema a bundle may declare. Serving sizes per-batch buffers by
-// the schema width, so a corrupt header must not be able to ask for more.
-constexpr std::size_t kMaxNumFeatures = std::size_t{1} << 24;
 // Deepest model nesting the decoder follows (an ensemble of boosters of
 // trees is 3 deep); bounds the recursion a crafted payload can ask for.
 constexpr int kMaxNesting = 32;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <condition_variable>
 #include <exception>
+#include <memory>
+#include <mutex>
 #include <utility>
 
 #include "spe/common/check.h"
@@ -89,27 +92,23 @@ BatchScorer::~BatchScorer() { Shutdown(); }
 std::future<ScoreResult> BatchScorer::Submit(
     std::vector<double> features,
     std::chrono::steady_clock::time_point deadline) {
-  SPE_CHECK_EQ(features.size(), num_features_)
-      << "submitted row width does not match the model schema";
-  Request req;
-  req.features = std::move(features);
-  req.enqueued = std::chrono::steady_clock::now();
-  req.deadline = deadline;
-  std::future<ScoreResult> future = req.promise.emplace().get_future();
-  const bool accepted = config_.overflow == OverflowPolicy::kBlock
-                            ? queue_.Push(std::move(req))
-                            : queue_.TryPush(std::move(req));
-  if (!accepted) {
-    // Push/TryPush moved-from only on success; on failure the request
-    // (and its promise) is destroyed inside the call, so re-create the
-    // rejection here through a fresh promise.
-    const bool closed = queue_.closed();
-    if (!closed) stats_.RecordShed();
-    std::promise<ScoreResult> rejected;
-    rejected.set_exception(std::make_exception_ptr(ScorerOverloaded(
-        closed ? "scorer is shut down" : "request queue full")));
-    return rejected.get_future();
-  }
+  auto promise = std::make_unique<std::promise<ScoreResult>>();
+  std::future<ScoreResult> future = promise->get_future();
+  // The callback runs exactly once, so it takes the promise over. A bare
+  // pointer keeps the lambda inside std::function's inline storage; a
+  // shared_ptr capture costs two more allocations per request, ~20% of
+  // serve_throughput's engine rows/sec on a 4-CPU host.
+  SubmitCallback(std::move(features), deadline,
+                 [raw = promise.release()](ScoreResult result,
+                                           std::exception_ptr error,
+                                           std::vector<double> /*features*/) {
+                   const std::unique_ptr<std::promise<ScoreResult>> owned(raw);
+                   if (error != nullptr) {
+                     owned->set_exception(std::move(error));
+                   } else {
+                     owned->set_value(result);
+                   }
+                 });
   return future;
 }
 
@@ -124,30 +123,24 @@ void BatchScorer::SubmitCallback(std::vector<double> features,
   req.done = std::move(done);
   req.enqueued = std::chrono::steady_clock::now();
   req.deadline = deadline;
-  // The Keep variants leave `req` intact on refusal, so the rejection
-  // can travel through the caller's own callback with its pooled
-  // feature buffer attached — nothing is lost inside the queue.
+  // A refused `req` is handed back intact, so the rejection travels
+  // through the caller's own callback with its pooled feature buffer
+  // attached — nothing is lost inside the queue.
   const bool accepted = config_.overflow == OverflowPolicy::kBlock
                             ? queue_.PushKeep(req)
                             : queue_.TryPushKeep(req);
   if (!accepted) {
     const bool closed = queue_.closed();
     if (!closed) stats_.RecordShed();
-    req.done({}, std::make_exception_ptr(ScorerOverloaded(
-                  closed ? "scorer is shut down" : "request queue full")),
-             std::move(req.features));
+    Complete(req, {},
+             std::make_exception_ptr(ScorerOverloaded(
+                 closed ? "scorer is shut down" : "request queue full")));
   }
 }
 
 void BatchScorer::Complete(Request& r, ScoreResult result,
                            std::exception_ptr error) {
-  if (r.done) {
-    r.done(result, std::move(error), std::move(r.features));
-  } else if (error != nullptr) {
-    r.promise->set_exception(std::move(error));
-  } else {
-    r.promise->set_value(result);
-  }
+  r.done(result, std::move(error), std::move(r.features));
 }
 
 double BatchScorer::Score(std::vector<double> features) {
@@ -157,23 +150,41 @@ double BatchScorer::Score(std::vector<double> features) {
 std::vector<double> BatchScorer::ScoreBatch(const DatasetView& rows) {
   SPE_CHECK_EQ(rows.num_features(), num_features_);
   rows.CheckAlive();
-  std::vector<std::future<ScoreResult>> futures;
-  futures.reserve(rows.num_rows());
+  // Rows complete on the workers in any order; each callback fills its
+  // own slot and the last one wakes this thread. Shared ownership keeps
+  // the state alive until the final callback has let go of it.
+  struct Pending {
+    std::mutex mu;
+    std::condition_variable all_done;
+    std::vector<double> probs;
+    std::size_t left = 0;
+    std::exception_ptr error;
+  };
+  auto pending = std::make_shared<Pending>();
+  pending->probs.resize(rows.num_rows());
+  pending->left = rows.num_rows();
   for (std::size_t i = 0; i < rows.num_rows(); ++i) {
     Request req;
     req.features.resize(num_features_);
     rows.CopyRowTo(i, req.features);
+    req.done = [pending, i](ScoreResult result, std::exception_ptr error,
+                            std::vector<double> /*features*/) {
+      std::lock_guard<std::mutex> lock(pending->mu);
+      pending->probs[i] = result.proba;
+      if (error != nullptr && pending->error == nullptr) {
+        pending->error = std::move(error);
+      }
+      if (--pending->left == 0) pending->all_done.notify_all();
+    };
     req.enqueued = std::chrono::steady_clock::now();
-    futures.push_back(req.promise.emplace().get_future());
     // Offline scoring always blocks: shedding rows out of a file-scoring
     // run would silently truncate the output.
-    SPE_CHECK(queue_.Push(std::move(req))) << "scorer is shut down";
+    SPE_CHECK(queue_.PushKeep(req)) << "scorer is shut down";
   }
-  std::vector<double> probs(futures.size());
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    probs[i] = futures[i].get().proba;
-  }
-  return probs;
+  std::unique_lock<std::mutex> lock(pending->mu);
+  pending->all_done.wait(lock, [&] { return pending->left == 0; });
+  if (pending->error != nullptr) std::rethrow_exception(pending->error);
+  return std::move(pending->probs);
 }
 
 void BatchScorer::Shutdown() {

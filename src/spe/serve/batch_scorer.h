@@ -7,7 +7,6 @@
 #include <functional>
 #include <future>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -157,14 +156,12 @@ class BatchScorer {
       ScoreResult result, std::exception_ptr error,
       std::vector<double> features)>;
 
-  /// Future-free submission for event-loop transports: instead of
-  /// parking a thread on a future, `done` is invoked exactly once when
-  /// the request completes — on a worker thread normally, or inline on
-  /// the submitting thread when the request is shed (queue full under
-  /// kShed, or after Shutdown). Same queueing, batching, deadline and
-  /// degradation semantics as Submit; the two paths differ only in how
-  /// the result leaves the scorer. `done` must not block: it runs on
-  /// the scoring workers, so a slow callback stalls batch dispatch.
+  /// The one submission path: `done` is invoked exactly once when the
+  /// request completes — on a worker thread normally, or inline on the
+  /// submitting thread when the request is shed (queue full under
+  /// kShed, or after Shutdown). Submit is this with a promise in the
+  /// callback. `done` must not block: it runs on the scoring workers, so
+  /// a slow callback stalls batch dispatch.
   void SubmitCallback(std::vector<double> features,
                       std::chrono::steady_clock::time_point deadline,
                       ScoreCallback done);
@@ -176,7 +173,8 @@ class BatchScorer {
   /// Scores every row of `rows` through the batching engine and returns
   /// probabilities in row order. Always blocks for queue space (even
   /// under kShed — offline scoring must not drop rows), so the offline
-  /// CLI path and the online path share one dispatch code path.
+  /// CLI path and the online path share one dispatch code path. A model
+  /// exception is rethrown once every row has completed.
   std::vector<double> ScoreBatch(const DatasetView& rows);
 
   /// Refuses new submissions, waits for workers to drain every queued
@@ -205,16 +203,12 @@ class BatchScorer {
  private:
   struct Request {
     std::vector<double> features;
-    /// Engaged on the future path only; the callback path skips the
-    /// promise's shared-state allocation entirely.
-    std::optional<std::promise<ScoreResult>> promise;
-    ScoreCallback done;  // engaged on the callback path only
+    ScoreCallback done;
     std::chrono::steady_clock::time_point enqueued;
     std::chrono::steady_clock::time_point deadline = kNoDeadline;
   };
 
-  /// Resolves `r` through whichever channel it carries (promise or
-  /// callback). `error` null means success.
+  /// Resolves `r` through its callback; `error` null means success.
   static void Complete(Request& r, ScoreResult result,
                        std::exception_ptr error);
 

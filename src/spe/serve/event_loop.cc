@@ -7,6 +7,7 @@
 #include <utility>
 
 #include <arpa/inet.h>
+#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
@@ -135,6 +136,12 @@ EventLoop::EventLoop(BatchScorer& scorer, EventLoopConfig config,
       config_(std::move(config)),
       reload_fn_(std::move(reload_fn)),
       shared_(std::make_shared<Shared>()) {
+  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
+  SPE_CHECK_GE(epoll_fd_, 0) << "epoll_create1 failed";
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kWakeToken;
+  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, shared_->wake_fd, &ev), 0);
   metrics_collector_ =
       obs::MetricsRegistry::Global().AddCollector([this](std::string& out) {
         const auto counter = [&out](const char* name, std::uint64_t v) {
@@ -198,7 +205,20 @@ std::string EventLoop::Listen(const std::string& host, int port) {
   if (getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound), &len) == 0) {
     port_ = ntohs(bound.sin_port);
   }
+  epoll_event ev{};
+  ev.events = EPOLLIN;
+  ev.data.u64 = kListenerToken;
+  if (epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev) != 0) {
+    return Errno("epoll_ctl");
+  }
   return "";
+}
+
+void EventLoop::Adopt(int fd) {
+  const int flags = fcntl(fd, F_GETFL);
+  SPE_CHECK(flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0)
+      << Errno("fcntl");
+  AddConn(fd);
 }
 
 void EventLoop::RequestDrain() {
@@ -227,20 +247,11 @@ void EventLoop::PutBuffer(std::string buf) {
 }
 
 void EventLoop::Run() {
-  SPE_CHECK_GE(listen_fd_, 0) << "Listen() before Run()";
-  epoll_fd_ = epoll_create1(EPOLL_CLOEXEC);
-  SPE_CHECK_GE(epoll_fd_, 0) << "epoll_create1 failed";
-
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.u64 = kListenerToken;
-  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, listen_fd_, &ev), 0);
-  ev.events = EPOLLIN;
-  ev.data.u64 = kWakeToken;
-  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, shared_->wake_fd, &ev), 0);
-
+  // With no listener, the loop serves its adopted connections and ends
+  // when the last one closes; BeginDrain closes the listener, so a
+  // listening loop ends the same way once drained.
   epoll_event events[256];
-  while (!(draining_ && conns_.empty())) {
+  while (listen_fd_ >= 0 || !conns_.empty()) {
     const int n = epoll_wait(epoll_fd_, events, 256, -1);
     if (n < 0) {
       if (errno == EINTR) continue;
@@ -268,10 +279,9 @@ void EventLoop::AcceptReady() {
           errno == ECONNABORTED) {
         return;
       }
-      // EINVAL: a signal thread shut the listener down — the drain
-      // request of the old blocking-accept design. Anything else
-      // (EMFILE exhaustion aside) also stops the listener; draining is
-      // the safe response either way.
+      // EINVAL: someone shut the listener down with shutdown(2). Anything
+      // else (EMFILE exhaustion aside) also stops the listener; draining
+      // is the safe response either way.
       if (errno == EMFILE || errno == ENFILE) {
         // Out of fds: shed by not accepting; the backlog holds.
         return;
@@ -283,36 +293,40 @@ void EventLoop::AcceptReady() {
       close(fd);
       continue;
     }
-    const std::uint64_t token = next_token_++;
-    auto conn = std::make_unique<Conn>();
-    conn->fd = fd;
-    conn->token = token;
-    conn->in = GetBuffer();
-    conn->out = GetBuffer();
-    if (config_.max_connections > 0 &&
-        active_sessions_ >= config_.max_connections) {
-      // At capacity: the refusal is a one-line pseudo-connection that
-      // rides the same nonblocking write path as everything else — a
-      // peer with a full receive buffer gets the whole line eventually
-      // instead of whatever one unchecked write(2) happened to take.
-      counters_.refused.fetch_add(1, std::memory_order_relaxed);
-      conn->refusal = true;
-      conn->read_open = false;
-      conn->out.append(kCapacityRefusal, sizeof(kCapacityRefusal) - 1);
-    } else {
-      ++active_sessions_;
-      counters_.accepted.fetch_add(1, std::memory_order_relaxed);
-    }
-    counters_.connections.fetch_add(1, std::memory_order_relaxed);
-    Conn& c = *conn;
-    conns_.emplace(token, std::move(conn));
-    epoll_event ev{};
-    ev.data.u64 = token;
-    ev.events = 0;
-    SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, c.fd, &ev), 0);
-    if (!TryFlush(c)) continue;  // refusal line usually fits the first write
-    UpdateConn(c);
+    AddConn(fd);
   }
+}
+
+void EventLoop::AddConn(int fd) {
+  const std::uint64_t token = next_token_++;
+  auto conn = std::make_unique<Conn>();
+  conn->fd = fd;
+  conn->token = token;
+  conn->in = GetBuffer();
+  conn->out = GetBuffer();
+  if (config_.max_connections > 0 &&
+      active_sessions_ >= config_.max_connections) {
+    // At capacity: the refusal is a one-line pseudo-connection that
+    // rides the same nonblocking write path as everything else — a
+    // peer with a full receive buffer gets the whole line eventually
+    // instead of whatever one unchecked write(2) happened to take.
+    counters_.refused.fetch_add(1, std::memory_order_relaxed);
+    conn->refusal = true;
+    conn->read_open = false;
+    conn->out.append(kCapacityRefusal, sizeof(kCapacityRefusal) - 1);
+  } else {
+    ++active_sessions_;
+    counters_.accepted.fetch_add(1, std::memory_order_relaxed);
+  }
+  counters_.connections.fetch_add(1, std::memory_order_relaxed);
+  Conn& c = *conn;
+  conns_.emplace(token, std::move(conn));
+  epoll_event ev{};
+  ev.data.u64 = token;
+  ev.events = 0;
+  SPE_CHECK_EQ(epoll_ctl(epoll_fd_, EPOLL_CTL_ADD, c.fd, &ev), 0);
+  if (!TryFlush(c)) return;  // refusal line usually fits the first write
+  UpdateConn(c);
 }
 
 void EventLoop::HandleConnEvent(std::uint64_t token, std::uint32_t events) {
@@ -824,9 +838,11 @@ void EventLoop::CloseConn(std::uint64_t token) {
 void EventLoop::BeginDrain() {
   if (draining_) return;
   draining_ = true;
-  epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
-  close(listen_fd_);
-  listen_fd_ = -1;
+  if (listen_fd_ >= 0) {
+    epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, listen_fd_, nullptr);
+    close(listen_fd_);
+    listen_fd_ = -1;
+  }
   // Half-close every connection (the old per-session SHUT_RD): no new
   // requests, every accepted one still answered. Partially read input
   // is dropped — scoring a truncated request would answer garbage.

@@ -18,7 +18,7 @@
 
 namespace spe::serve {
 
-/// Tuning for the TCP reactor. The defaults match the retired
+/// Tuning for the serving reactor. The defaults match the retired
 /// thread-per-connection server so a config-free swap changes nothing
 /// observable.
 struct EventLoopConfig {
@@ -62,14 +62,17 @@ struct EventLoopCounters {
 };
 
 /// Single-threaded epoll reactor serving the scoring protocols over
-/// TCP. One thread owns every socket: it accepts, sniffs the protocol
-/// (first byte 0xA6 selects the binary frame format of spe/serve/wire.h,
-/// anything else the newline text protocol), parses requests straight
-/// out of per-connection input buffers, and submits rows to the shared
-/// BatchScorer through its callback path. Scoring workers format the
-/// response into the request's pending slot and poke the loop through
-/// an eventfd; the loop writes responses strictly in request order per
-/// connection, exactly like the retired writer-thread design.
+/// stream sockets: TCP connections it accepts, and already-connected
+/// sockets handed to Adopt (spe_serve --stdio adopts one end of a
+/// socketpair). One thread owns every socket: it accepts, sniffs the
+/// protocol (first byte 0xA6 selects the binary frame format of
+/// spe/serve/wire.h, anything else the newline text protocol), parses
+/// requests straight out of per-connection input buffers, and submits
+/// rows to the shared BatchScorer through its callback path. Scoring
+/// workers format the response into the request's pending slot and
+/// poke the loop through an eventfd; the loop writes responses strictly
+/// in request order per connection, exactly like the retired
+/// writer-thread design.
 ///
 /// Memory is pooled, not per-request: input/output byte buffers are
 /// recycled across connections, and each scored row's feature vector
@@ -87,10 +90,9 @@ struct EventLoopCounters {
 ///   - !reload fires only after every request read before it has been
 ///     answered *and written* (the old inflight==0 barrier), parsing
 ///     resumes when the reload's OK/ERR is on the wire;
-///   - drain (RequestDrain(), or shutdown(2) of the listen fd by a
-///     signal thread) stops accepting, half-closes every connection,
-///     drops partially read requests, answers everything accepted, and
-///     Run() returns.
+///   - drain (RequestDrain(), or a failing accept on the listen fd)
+///     stops accepting, half-closes every connection, drops partially
+///     read requests, answers everything accepted, and Run() returns.
 ///
 /// Blocking caveat: under OverflowPolicy::kBlock a full scorer queue
 /// blocks the loop inside SubmitCallback — all connections stall until
@@ -117,13 +119,15 @@ class EventLoop {
 
   int port() const { return port_; }
 
-  /// The listening socket, for signal handlers that drain the server by
-  /// shutdown(2) of the listener (the loop sees the listener error and
-  /// begins its drain). -1 before Listen.
-  int listen_fd() const { return listen_fd_; }
+  /// Serves the already-connected stream socket `fd` as one more
+  /// connection; the loop makes it nonblocking and owns (closes) it.
+  /// Call before Run().
+  void Adopt(int fd);
 
-  /// Serves until drained: every accepted request answered, every
-  /// connection closed. Call from exactly one thread.
+  /// Serves until no listener is left and every connection is closed:
+  /// after a drain (every accepted request answered), or, for a loop
+  /// that never listened, once its adopted connections end. Call from
+  /// exactly one thread.
   void Run();
 
   /// Thread-safe: asks the loop to begin the drain sequence.
@@ -138,6 +142,7 @@ class EventLoop {
 
   // -- loop-thread helpers (definitions in event_loop.cc) --
   void AcceptReady();
+  void AddConn(int fd);
   void HandleConnEvent(std::uint64_t token, std::uint32_t events);
   void HandleReadable(Conn& c);
   void ParseInput(Conn& c);

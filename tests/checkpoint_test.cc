@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -161,7 +162,8 @@ TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
   WriteRealCheckpoint(dir, data, 4);
 
   const std::string path = checkpoint::CheckpointPath(dir);
-  checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
+  checkpoint::LoadResult loaded =
+      checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   ASSERT_TRUE(loaded.ok()) << loaded.error;
   EXPECT_EQ(loaded.core.next_iteration, 5u);
   EXPECT_EQ(loaded.core.prob_count, 5u);  // f0 + iterations 1..4
@@ -196,7 +198,7 @@ TEST(CheckpointEnvelopeTest, RealCheckpointReserializesByteIdentically) {
 TEST(CheckpointEnvelopeTest, MissingFileIsAFreshStartNotAnError) {
   const std::string dir = TempDir("missing");
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
-      checkpoint::CheckpointPath(dir));
+      checkpoint::CheckpointPath(dir), 2);
   EXPECT_TRUE(loaded.missing);
   EXPECT_FALSE(loaded.ok());
   std::filesystem::remove_all(dir);
@@ -212,7 +214,8 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   std::string corrupt = bytes;
   corrupt[corrupt.size() - 3] ^= 0x01;
   WriteFile(path, corrupt);
-  checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
+  checkpoint::LoadResult loaded =
+      checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("crc32 mismatch"), std::string::npos)
       << loaded.error;
 
@@ -221,12 +224,12 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   // an earlier record intact, which is legitimate fallback, not error.)
   const std::size_t first_payload = bytes.find('\n') + 1;
   WriteFile(path, bytes.substr(0, first_payload + 3));
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("truncated"), std::string::npos)
       << loaded.error;
 
   WriteFile(path, "hello world\n");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("bad magic"), std::string::npos)
       << loaded.error;
 
@@ -235,14 +238,14 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   // complete garbage after a valid record can only be bit rot and must
   // be refused.
   WriteFile(path, bytes + "spe-checkpoint 1 payload_bytes 999 crc32 0000");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_TRUE(loaded.ok()) << loaded.error;
   WriteFile(path,
             bytes + "spe-checkpoint 1 payload_bytes 4 crc32 00000000\nto");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_TRUE(loaded.ok()) << loaded.error;
   WriteFile(path, bytes + "not-a-record 9 payload_bytes 4 crc32 0\nrotted\n");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("malformed record after a valid checkpoint"),
             std::string::npos)
       << loaded.error;
@@ -255,19 +258,19 @@ TEST(CheckpointEnvelopeTest, IntegrityViolationsAreRefusedWithReasons) {
   std::string log_corrupt = log_bytes;
   log_corrupt[log_corrupt.size() / 2] ^= 0x01;
   WriteFile(log_path, log_corrupt);
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("member log corrupted"), std::string::npos)
       << loaded.error;
 
   WriteFile(log_path, log_bytes.substr(0, log_bytes.size() / 2));
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("member log truncated"), std::string::npos)
       << loaded.error;
 
   // A torn tail past the vouched prefix is a normal crash artifact,
   // not corruption: the loader must ignore it.
   WriteFile(log_path, log_bytes + "garbage from a torn append");
-  loaded = checkpoint::LoadTrainerStateFromFile(path);
+  loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_TRUE(loaded.ok()) << loaded.error;
   std::filesystem::remove_all(dir);
 }
@@ -304,7 +307,8 @@ TEST(CheckpointEnvelopeTest, ResealedMemberLogMutantsAreRefused) {
   // Resealing the untouched log must load: the refusals below are the
   // member-log checks, not a bad seal.
   ResealCheckpoint(path, log);
-  ASSERT_TRUE(checkpoint::LoadTrainerStateFromFile(path).ok());
+  ASSERT_TRUE(
+      checkpoint::LoadTrainerStateFromFile(path, data.num_features()).ok());
 
   // A record count no log could hold: bounded before any allocation.
   const std::size_t record = log.find("member ");
@@ -314,14 +318,14 @@ TEST(CheckpointEnvelopeTest, ResealedMemberLogMutantsAreRefused) {
   huge_record.replace(record, count_end - record, "member 4000000000");
   WriteFile(path, manifest);
   ResealCheckpoint(path, huge_record);
-  checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(path);
+  checkpoint::LoadResult loaded =
+      checkpoint::LoadTrainerStateFromFile(path, data.num_features());
   EXPECT_NE(loaded.error.find("bad member log record"), std::string::npos)
       << loaded.error;
 
-  // A member or bootstrap blob whose tree claims more nodes than the
-  // blob holds: the model decoder's typed error refuses the checkpoint
-  // (the bootstrap blob would otherwise reach resume's replay).
-  for (const std::string kind : {"member ", "bootstrap "}) {
+  // Reseals the log with the first `kind` blob rewritten by `edit`.
+  const auto reseal_blob = [&](const std::string& kind,
+                               const std::function<void(std::string&)>& edit) {
     const std::size_t at = log.find(kind);
     ASSERT_NE(at, std::string::npos) << kind;
     const std::size_t size_end = log.find('\n', at);
@@ -329,17 +333,43 @@ TEST(CheckpointEnvelopeTest, ResealedMemberLogMutantsAreRefused) {
     const std::size_t blob_size = std::stoul(
         log.substr(at + kind.size(), size_end - at - kind.size()));
     std::string model = log.substr(blob, blob_size);
-    const std::size_t nodes = model.find("nodes ");
-    ASSERT_NE(nodes, std::string::npos);
-    model.replace(nodes, model.find('\n', nodes) - nodes, "nodes 4000000000");
+    edit(model);
     std::string mutant = log.substr(0, at);
     mutant.append(kind).append(std::to_string(model.size()));
     mutant.append("\n").append(model).append(log, blob + blob_size);
     WriteFile(path, manifest);
     ResealCheckpoint(path, mutant);
-    loaded = checkpoint::LoadTrainerStateFromFile(path);
+  };
+
+  // A member or bootstrap blob whose tree claims more nodes than the
+  // blob holds, or whose root splits on feature 7 of this 2-feature
+  // data: the model decoder's typed error refuses the checkpoint (the
+  // bootstrap blob would otherwise reach resume's replay, and a split
+  // past the width would be read out of bounds there).
+  for (const std::string kind : {"member ", "bootstrap "}) {
+    reseal_blob(kind, [](std::string& model) {
+      const std::size_t nodes = model.find("nodes ");
+      ASSERT_NE(nodes, std::string::npos);
+      model.replace(nodes, model.find('\n', nodes) - nodes,
+                    "nodes 4000000000");
+    });
+    loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
     EXPECT_NE(loaded.error.find("bad member log record"), std::string::npos)
         << kind << loaded.error;
+
+    reseal_blob(kind, [](std::string& model) {
+      const std::size_t root = model.find('\n', model.find("nodes ")) + 1;
+      const std::size_t feature_end = model.find(' ', root);
+      ASSERT_NE(model.substr(root, feature_end - root), "-1")
+          << "the root should be a split, not a leaf";
+      model.replace(root, feature_end - root, "7");
+    });
+    loaded = checkpoint::LoadTrainerStateFromFile(path, data.num_features());
+    EXPECT_NE(loaded.error.find("bad member log record"), std::string::npos)
+        << kind << loaded.error;
+    // The same mutant is well-formed for data at least 8 features wide:
+    // the refusal is the width check, not a broken seal.
+    EXPECT_TRUE(checkpoint::LoadTrainerStateFromFile(path, 8).ok()) << kind;
   }
   std::filesystem::remove_all(dir);
 }
@@ -535,7 +565,7 @@ TEST(CheckpointFaultTest, WriteFaultsExhaustRetriesThenThrow) {
   const Dataset data = OverlappingBlobs(120, 20, 3);
   WriteRealCheckpoint(dir, data, 2);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
-      checkpoint::CheckpointPath(dir));
+      checkpoint::CheckpointPath(dir), data.num_features());
   ASSERT_TRUE(loaded.ok()) << loaded.error;
 
   FaultConfig faults;
@@ -556,7 +586,7 @@ TEST(CheckpointFaultTest, FlakyWritesRecoverThroughBackoff) {
   const Dataset data = OverlappingBlobs(120, 20, 3);
   WriteRealCheckpoint(dir, data, 2);
   checkpoint::LoadResult loaded = checkpoint::LoadTrainerStateFromFile(
-      checkpoint::CheckpointPath(dir));
+      checkpoint::CheckpointPath(dir), data.num_features());
   ASSERT_TRUE(loaded.ok()) << loaded.error;
 
   FaultConfig faults;

@@ -11,6 +11,7 @@
 #include <cstdio>
 #include <cstring>
 #include <functional>
+#include <future>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -381,6 +382,49 @@ TEST(EventLoopTest, DrainAnswersAcceptedRequestsThenCloses) {
   EXPECT_EQ(n, 0) << std::strerror(errno);
   close(fd);
   harness.reset();  // Run() must have returned; ~LoopHarness joins
+}
+
+TEST(EventLoopTest, AdoptedSocketWithoutListenerEndsWhenItsPeerIsDone) {
+  // The --stdio shape: no listener, one adopted socketpair end. Run()
+  // must answer everything, including a final unterminated line, and
+  // return on its own once the peer half-closes — no drain request.
+  BatchScorerConfig scorer_config;
+  scorer_config.num_workers = 2;
+  BatchScorer scorer(TinyModel(), 2, scorer_config);
+  serve::EventLoop loop(scorer, {}, {});
+  int fds[2];
+  ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0)
+      << std::strerror(errno);
+  loop.Adopt(fds[0]);
+  std::promise<void> returned;
+  std::future<void> run_done = returned.get_future();
+  std::thread runner([&] {
+    loop.Run();
+    returned.set_value();
+  });
+  const timeval timeout{.tv_sec = 30, .tv_usec = 0};
+  setsockopt(fds[1], SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  SendAll(fds[1], "1.0,2.0\nSTATS\n3.0,4.0");
+  shutdown(fds[1], SHUT_WR);
+  // No ASSERT until the runner is joined: returning early would destroy
+  // a joinable thread.
+  const std::vector<std::string> lines = RecvLines(fds[1], 3);
+  EXPECT_EQ(lines.size(), 3u);
+  if (lines.size() == 3) {
+    EXPECT_EQ(lines[1].rfind("{\"rows\":", 0), 0u) << lines[1];
+    const ScoreResult truth = scorer.Submit({3.0, 4.0}).get();
+    EXPECT_EQ(lines[2], FormatScoreResponse(ServeRequest{}, truth.proba,
+                                            truth.degraded));
+  }
+  char byte;
+  EXPECT_EQ(recv(fds[1], &byte, 1, 0), 0);  // the loop closed its end
+  const bool ended = run_done.wait_for(std::chrono::seconds(30)) ==
+                     std::future_status::ready;
+  EXPECT_TRUE(ended) << "Run() kept going after its only connection closed";
+  if (!ended) loop.RequestDrain();
+  runner.join();
+  close(fds[1]);
+  scorer.Shutdown();
 }
 
 TEST(EventLoopTest, MixedProtocolConnectionsCoexist) {

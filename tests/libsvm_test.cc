@@ -7,6 +7,7 @@
 
 #include "spe/common/rng.h"
 #include "spe/data/libsvm.h"
+#include "spe/data/text_reader.h"
 
 namespace spe {
 namespace {
@@ -95,18 +96,40 @@ TEST(LibsvmTest, RoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(LibsvmDeathTest, ZeroBasedIndexAborts) {
-  const std::string path = TempPath("spe_libsvm_zero.txt");
-  WriteFile(path, "1 0:1\n");
-  EXPECT_DEATH(LoadLibsvm(path), "1-based");
+/// The DataFormatError message LoadLibsvm throws for `content`, or ""
+/// if it loads.
+std::string RefusalOf(const char* name, const std::string& content,
+                      std::size_t num_features = 0) {
+  const std::string path = TempPath(name);
+  WriteFile(path, content);
+  std::string message;
+  try {
+    LoadLibsvm(path, num_features);
+  } catch (const DataFormatError& e) {
+    message = e.what();
+  }
   std::remove(path.c_str());
+  return message;
 }
 
-TEST(LibsvmDeathTest, TooSmallWidthAborts) {
-  const std::string path = TempPath("spe_libsvm_small.txt");
-  WriteFile(path, "1 7:1\n");
-  EXPECT_DEATH(LoadLibsvm(path, 3), "largest feature index");
-  std::remove(path.c_str());
+TEST(LibsvmTest, ZeroBasedIndexIsRefused) {
+  const std::string message =
+      RefusalOf("spe_libsvm_zero.txt", "1 1:1\n1 0:1\n");
+  EXPECT_NE(message.find("spe_libsvm_zero.txt:2:"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("1-based"), std::string::npos) << message;
+  EXPECT_NE(RefusalOf("spe_libsvm_negative.txt", "1 -3:1\n"), "");
+}
+
+TEST(LibsvmTest, TooSmallWidthIsRefused) {
+  const std::string message =
+      RefusalOf("spe_libsvm_small.txt", "1 2:1\n0 7:1\n", 3);
+  EXPECT_NE(message.find("spe_libsvm_small.txt:2:"), std::string::npos)
+      << message;
+  EXPECT_NE(message.find("above the width 3"), std::string::npos) << message;
+  // An inferred width is capped too: a hostile index cannot size a
+  // multi-gigabyte row.
+  EXPECT_NE(RefusalOf("spe_libsvm_huge.txt", "1 4000000000:1\n"), "");
 }
 
 }  // namespace

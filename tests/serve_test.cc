@@ -7,6 +7,7 @@
 #include <mutex>
 #include <random>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -59,30 +60,34 @@ std::unique_ptr<Classifier> TrainedSpe(const Dataset& train) {
 
 TEST(BoundedQueueTest, PopBatchRespectsMaxItems) {
   BoundedQueue<int> q(16);
-  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.Push(i));
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(q.PushKeep(i));
   std::vector<int> batch;
   EXPECT_EQ(q.PopBatch(batch, 4, std::chrono::microseconds(0)), 4u);
   EXPECT_EQ(batch, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(q.size(), 6u);
 }
 
-TEST(BoundedQueueTest, TryPushShedsWhenFull) {
-  BoundedQueue<int> q(2);
-  EXPECT_TRUE(q.TryPush(1));
-  EXPECT_TRUE(q.TryPush(2));
-  EXPECT_FALSE(q.TryPush(3));
-  std::vector<int> batch;
+TEST(BoundedQueueTest, TryPushKeepShedsWhenFullAndKeepsTheItem) {
+  BoundedQueue<std::string> q(2);
+  std::string one = "one", two = "two", three = "three";
+  EXPECT_TRUE(q.TryPushKeep(one));
+  EXPECT_TRUE(q.TryPushKeep(two));
+  EXPECT_FALSE(q.TryPushKeep(three));
+  EXPECT_EQ(three, "three");  // refused, so handed back untouched
+  std::vector<std::string> batch;
   q.PopBatch(batch, 8, std::chrono::microseconds(0));
-  EXPECT_EQ(batch.size(), 2u);
+  EXPECT_EQ(batch, (std::vector<std::string>{"one", "two"}));
 }
 
 TEST(BoundedQueueTest, CloseDrainsRemainingItems) {
-  BoundedQueue<int> q(8);
-  ASSERT_TRUE(q.Push(1));
-  ASSERT_TRUE(q.Push(2));
+  BoundedQueue<std::string> q(8);
+  std::string one = "one", two = "two", three = "three";
+  ASSERT_TRUE(q.PushKeep(one));
+  ASSERT_TRUE(q.PushKeep(two));
   q.Close();
-  EXPECT_FALSE(q.Push(3));
-  std::vector<int> batch;
+  EXPECT_FALSE(q.PushKeep(three));
+  EXPECT_EQ(three, "three");
+  std::vector<std::string> batch;
   EXPECT_EQ(q.PopBatch(batch, 1, std::chrono::microseconds(0)), 1u);
   EXPECT_EQ(q.PopBatch(batch, 8, std::chrono::microseconds(0)), 1u);
   EXPECT_EQ(q.PopBatch(batch, 8, std::chrono::microseconds(0)), 0u);
@@ -90,8 +95,12 @@ TEST(BoundedQueueTest, CloseDrainsRemainingItems) {
 
 TEST(BoundedQueueTest, BlockedPushWakesWhenConsumerDrains) {
   BoundedQueue<int> q(1);
-  ASSERT_TRUE(q.Push(1));
-  std::thread producer([&] { EXPECT_TRUE(q.Push(2)); });
+  int one = 1;
+  ASSERT_TRUE(q.PushKeep(one));
+  std::thread producer([&] {
+    int two = 2;
+    EXPECT_TRUE(q.PushKeep(two));
+  });
   std::vector<int> batch;
   // Eventually both items flow through; the producer unblocks.
   std::size_t seen = 0;
